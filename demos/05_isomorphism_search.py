@@ -4,11 +4,17 @@
 Three tools, cheapest first: explicit power-map certificates when the
 exponent pairs sit in the same unit orbit; invariant fingerprints to
 refute quickly; and budgeted backtracking search to settle the rest.
+decide_iso stages them in that order.
 """
+from collections import Counter
+from itertools import combinations
+
 from mdlab import (
+    InvariantMemo,
     brute_force_iso,
     build_digraph,
     certificate_to_json,
+    decide_iso,
     find_power_map,
     fingerprint,
     prime_field,
@@ -54,3 +60,10 @@ for key in sorted(digs):
 print(f"\nGF(5): {len(digs)} digraphs fall into {len(classes)} isomorphism classes:")
 for cls in classes:
     print("  ", cls)
+
+# decide_iso settles each pair at the cheapest stage that can; one memo
+# keeps each digraph's invariants and census across all 120 pairs.
+memo = InvariantMemo()
+stages = Counter(decide_iso(digs[a], digs[b], memo=memo).stage
+                 for a, b in combinations(sorted(digs), 2))
+print("\nGF(5) pairs per deciding stage:", dict(sorted(stages.items())))

@@ -8,14 +8,16 @@ pair. Worker count for scans comes from MDL_THREADS.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import caps
 from ._version import __version__
 from .digraph import build_digraph
 from .errors import MdlabError
-from .field import FieldCtx, extension_field
+from .field import FieldCtx, _smallest_factor, extension_field
 from .harness import (
     emit_report,
     report_exit_code,
@@ -26,10 +28,10 @@ from .harness import (
 from .iso import (
     EXHAUSTED,
     FOUND,
-    brute_force_iso,
+    POWER_MAP,
+    SEARCH,
     certificate_to_json,
-    find_power_map,
-    fingerprint,
+    decide_iso,
     unit_orbit,
 )
 from .patterns import count_looped_arc, count_pattern, parse_pattern
@@ -40,7 +42,7 @@ BUDGET_EXHAUSTED = 3
 
 
 def _field(args) -> FieldCtx:
-    return extension_field(args.p, getattr(args, "k", 1) or 1)
+    return extension_field(args.p, args.k)  # rejects k < 1
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -51,11 +53,23 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _emit(report, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            emit_report(report, args.format, handle)
-    else:
+    """Report to stdout, or to --out through a temp file in the same
+    directory that replaces the target only once it is complete."""
+    if not args.out:
         emit_report(report, args.format, sys.stdout)
+        return
+    target = Path(args.out)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            emit_report(report, args.format, handle)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_build(args) -> int:
@@ -108,28 +122,26 @@ def _cmd_iso(args) -> int:
     same_orbit = unit_orbit(ctx.q, D1.m, D1.n) == unit_orbit(ctx.q, D2.m, D2.n)
     print(f"unit orbits {'match' if same_orbit else 'differ'}")
 
-    power = find_power_map(D1, D2)
-    if power is not None:
-        k, cert = power
-        print(f"isomorphic via power map k={k}")
-        print("certificate:", certificate_to_json(cert))
+    decision = decide_iso(D1, D2, args.budget)
+    if decision.stage == POWER_MAP:
+        print(f"isomorphic via power map k={decision.power_k}")
+        print("certificate:", certificate_to_json(decision.certificate))
         return 0
 
-    if fingerprint(D1) != fingerprint(D2):
+    if decision.stage != SEARCH:
         print("not isomorphic (fingerprints differ)")
         return 1 if same_orbit else 0
 
-    outcome = brute_force_iso(D1, D2, args.budget)
-    if outcome.status == FOUND:
-        print(f"isomorphic (search, {outcome.expansions} expansions)")
-        print("certificate:", certificate_to_json(outcome.certificate))
+    if decision.status == FOUND:
+        print(f"isomorphic (search, {decision.expansions} expansions)")
+        print("certificate:", certificate_to_json(decision.certificate))
         return 0
-    if outcome.status == EXHAUSTED:
-        print(f"undecided: budget exhausted after {outcome.expansions} expansions "
+    if decision.status == EXHAUSTED:
+        print(f"undecided: budget exhausted after {decision.expansions} expansions "
               "(fingerprint-only evidence: fingerprints equal)")
         return BUDGET_EXHAUSTED
     print(f"not isomorphic (search exhausted all assignments, "
-          f"{outcome.expansions} expansions)")
+          f"{decision.expansions} expansions)")
     # a same-orbit pair must be isomorphic, so this would refute the
     # power-map mechanism itself
     return 1 if same_orbit else 0
@@ -149,7 +161,7 @@ def _parse_prime_power(token: str) -> tuple[int, int]:
     q = int(token)
     if q < 2:
         raise ValueError(f"{token!r} is not a prime power")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
+    p = _smallest_factor(q) or q
     k = 0
     rest = q
     while rest % p == 0:

@@ -9,7 +9,7 @@ share across workers.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import caps
 from .errors import CapExceeded, InvalidExponent
@@ -26,6 +26,15 @@ def normalize_exponent(e: int, q: int) -> int:
     if e < 1:
         raise InvalidExponent(f"exponent must be >= 1, got {e}")
     return 1 + (e - 1) % (q - 1)
+
+
+class AdjacencyView(NamedTuple):
+    """Adjacency as index tuples: targets per source, sources per target,
+    and the loop flag per vertex."""
+
+    out_lists: tuple[tuple[int, ...], ...]
+    in_lists: tuple[tuple[int, ...], ...]
+    loop_flags: tuple[bool, ...]
 
 
 class MonomialDigraph:
@@ -100,6 +109,18 @@ class MonomialDigraph:
             for j in self.out_indices(i):
                 incoming[j].append(i)
         return incoming
+
+    @cached_property
+    def view(self) -> AdjacencyView:
+        """Adjacency lists for the census, refinement and search, built on
+        first use and kept. As lists it is far larger than the bitset rows
+        (about 285 MB at q = 181), so the row-scan paths (build, converse,
+        relabeling, certificate checks, DOT) never touch it."""
+        return AdjacencyView(
+            tuple(tuple(self.out_indices(i)) for i in range(self.order)),
+            tuple(tuple(sources) for sources in self.in_index_lists()),
+            tuple(self.has_arc_index(i, i) for i in range(self.order)),
+        )
 
     def converse(self) -> "MonomialDigraph":
         """Arc-reversed digraph; parameters recorded as (n, m)."""

@@ -27,10 +27,10 @@ from .iso import (
     EXHAUSTED,
     FOUND,
     NOT_ISOMORPHIC,
-    brute_force_iso,
+    POWER_MAP,
+    InvariantMemo,
     certificate_to_json,
-    find_power_map,
-    fingerprint,
+    decide_iso,
     unit_orbit,
 )
 from .patterns import count_looped_arc, verify_looped_arc_formula
@@ -87,7 +87,16 @@ def _assemble(records: Iterable[CheckRecord], meta: dict) -> ScanReport:
     return ScanReport(records=ordered, summary=summary, meta=base_meta)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def _resolve_workers(workers: int | None) -> int:
+    """An explicit count as given; else MDL_THREADS or the CPU count,
+    never more than the CPUs this process may run on."""
     if workers is not None:
         if workers < 1:
             raise ValueError("worker count must be positive")
@@ -97,8 +106,8 @@ def _resolve_workers(workers: int | None) -> int:
         count = int(env)
         if count < 1:
             raise ValueError(f"MDL_THREADS must be a positive integer, got {env!r}")
-        return count
-    return os.cpu_count() or 1
+        return min(count, _usable_cpus())
+    return _usable_cpus()
 
 
 def _run_items(worker, items: Sequence, workers: int) -> list[CheckRecord]:
@@ -225,10 +234,10 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]],
 def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET) -> ScanReport:
     """Exhaustive unit-orbit consistency check over all (q-1)^2 digraphs.
 
-    Within-orbit pairs must admit a power-map certificate; cross-orbit
-    pairs with equal fingerprints go to budgeted brute-force search and
-    must come back non-isomorphic. Runs serially; q is capped so the whole
-    scan is desk-scale.
+    Every pair goes through decide_iso. Within-orbit pairs must admit a
+    power-map certificate; cross-orbit pairs with equal fingerprints go to
+    budgeted brute-force search and must come back non-isomorphic. Runs
+    serially; q is capped so the whole scan is desk-scale.
     """
     q = ctx.q
     if q > caps.MAX_CONJECTURE_ORDER:
@@ -236,7 +245,7 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     keys = [(m, n) for m in range(1, q) for n in range(1, q)]
     digraphs = {key: build_digraph(ctx, *key) for key in keys}
     orbits = {key: unit_orbit(q, *key) for key in keys}
-    prints = {key: fingerprint(digraphs[key]) for key in keys}
+    memo = InvariantMemo()
 
     records = []
     exhausted = 0
@@ -244,38 +253,31 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     for first, second in combinations(keys, 2):
         params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
         observed = {"m2": second[0], "n2": second[1]}
+        decision = decide_iso(digraphs[first], digraphs[second], budget, memo)
         if orbits[first] == orbits[second]:
-            match = find_power_map(digraphs[first], digraphs[second])
             observed["isomorphic"] = 1
             observed["decided"] = 1
-            ok = match is not None
+            ok = decision.stage == POWER_MAP
             witness = None if ok else "within-orbit pair has no power-map certificate"
-        elif prints[first] != prints[second]:
+        elif decision.status == NOT_ISOMORPHIC:
             observed["isomorphic"] = 0
             observed["decided"] = 1
             ok = True
             witness = None
+        elif decision.status == FOUND:
+            observed["isomorphic"] = 1
+            observed["decided"] = 1
+            ok = False
+            witness = ("cross-orbit pair is isomorphic; certificate="
+                       + certificate_to_json(decision.certificate))
+            counterexample = counterexample or (
+                f"D({q};{first[0]},{first[1]}) ~ D({q};{second[0]},{second[1]})")
         else:
-            outcome = brute_force_iso(digraphs[first], digraphs[second], budget)
-            if outcome.status == NOT_ISOMORPHIC:
-                observed["isomorphic"] = 0
-                observed["decided"] = 1
-                ok = True
-                witness = None
-            elif outcome.status == FOUND:
-                observed["isomorphic"] = 1
-                observed["decided"] = 1
-                ok = False
-                witness = ("cross-orbit pair is isomorphic; certificate="
-                           + certificate_to_json(outcome.certificate))
-                counterexample = counterexample or (
-                    f"D({q};{first[0]},{first[1]}) ~ D({q};{second[0]},{second[1]})")
-            else:
-                assert outcome.status == EXHAUSTED
-                observed["decided"] = 0
-                ok = False
-                witness = f"budget exhausted after {outcome.expansions} expansions"
-                exhausted += 1
+            assert decision.status == EXHAUSTED
+            observed["decided"] = 0
+            ok = False
+            witness = f"budget exhausted after {decision.expansions} expansions"
+            exhausted += 1
         records.append(CheckRecord("iso", params, observed, ok, witness))
 
     class_count = len(set(orbits.values()))

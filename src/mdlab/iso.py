@@ -1,5 +1,6 @@
 """Digraph isomorphism: explicit power-map certificates, invariant
-fingerprints for cheap refutation, and budgeted brute-force search.
+fingerprints for cheap refutation, budgeted brute-force search, and
+decide_iso, which stages them cheapest first.
 
 A certificate is a tuple of length q^2 whose position i holds the image
 index of vertex i. verify_iso is the single source of truth: every
@@ -161,12 +162,8 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
     signature order each round, so isomorphic digraphs get identical
     color multisets."""
     n = D.order
-    out_lists = [D.out_indices(i) for i in range(n)]
-    in_lists = D.in_index_lists()
-    seeds = [
-        (D.has_arc_index(i, i), len(out_lists[i]), len(in_lists[i]))
-        for i in range(n)
-    ]
+    out_lists, in_lists, loop_flags = D.view
+    seeds = [(loop_flags[i], len(out_lists[i]), len(in_lists[i])) for i in range(n)]
     ranks = {s: c for c, s in enumerate(sorted(set(seeds)))}
     colors = [ranks[s] for s in seeds]
     classes = len(ranks)
@@ -199,20 +196,26 @@ class Fingerprint:
     refinement_histogram: tuple[tuple[int, int], ...]
 
 
+def cheap_invariants(D: MonomialDigraph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The fingerprint without its pattern census: (loop count, 2-cycle
+    count, refinement histogram)."""
+    out_lists, _, loop_flags = D.view
+    two_cycles = sum(
+        1 for i, targets in enumerate(out_lists)
+        for j in targets if j > i and D.has_arc_index(j, i)
+    )
+    histogram = tuple(sorted(Counter(color_refinement(D)).items()))
+    return sum(loop_flags), two_cycles, histogram
+
+
 def fingerprint(D: MonomialDigraph) -> Fingerprint:
-    loop_count = len(D.loop_indices())
-    two_cycles = 0
-    for i in range(D.order):
-        for j in D.out_indices(i):
-            if j > i and D.has_arc_index(j, i):
-                two_cycles += 1
+    loop_count, two_cycles, histogram = cheap_invariants(D)
     try:
         counts: tuple[int, ...] | None = tuple(
             count_pattern(D, pat).subdigraphs for pat in small_pattern_library()
         )
     except CapExceeded:
         counts = None
-    histogram = tuple(sorted(Counter(color_refinement(D)).items()))
     return Fingerprint(loop_count, two_cycles, counts, histogram)
 
 
@@ -258,6 +261,8 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
     for v in range(n):
         targets_by_color.setdefault(colors2[v], []).append(v)
 
+    loops1 = D1.view.loop_flags
+    loops2 = D2.view.loop_flags
     mapping = [-1] * n
     used = bytearray(n)
     placed: list[int] = []
@@ -281,7 +286,7 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
                         or D1.has_arc_index(v, u) != D2.has_arc_index(c, mu)):
                     ok = False
                     break
-            if ok and D1.has_arc_index(v, v) == D2.has_arc_index(c, c):
+            if ok and loops1[v] == loops2[c]:
                 mapping[v] = c
                 used[c] = 1
                 placed.append(v)
@@ -302,6 +307,72 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
         return SearchOutcome(NOT_ISOMORPHIC, None, expansions)
     except _BudgetExhausted:
         return SearchOutcome(EXHAUSTED, None, expansions)
+
+
+# --- staged decision ---
+
+POWER_MAP = "power_map"
+INVARIANTS = "invariants"
+CENSUS = "census"
+SEARCH = "search"
+
+
+class Decision(NamedTuple):
+    status: str  # found | not_isomorphic | exhausted
+    stage: str  # power_map | invariants | census | search
+    certificate: Certificate | None
+    expansions: int
+    power_k: int | None = None  # the unit k of a power-map certificate
+
+
+class InvariantMemo:
+    """Per-digraph invariants computed by decide_iso. Pass one memo to
+    every decide_iso call of a scan, so that each digraph's invariants and
+    pattern census are computed at most once however many pairs it is in."""
+
+    def __init__(self):
+        self._cheap: dict[MonomialDigraph, tuple] = {}
+        self._prints: dict[MonomialDigraph, Fingerprint] = {}
+
+    def cheap(self, D: MonomialDigraph) -> tuple:
+        if D not in self._cheap:
+            self._cheap[D] = cheap_invariants(D)
+        return self._cheap[D]
+
+    def fingerprint(self, D: MonomialDigraph) -> Fingerprint:
+        if D not in self._prints:
+            self._prints[D] = fingerprint(D)
+        return self._prints[D]
+
+
+def decide_iso(D1: MonomialDigraph, D2: MonomialDigraph,
+               budget: int = caps.DEFAULT_SEARCH_BUDGET,
+               memo: InvariantMemo | None = None) -> Decision:
+    """Decide D1 ~ D2 by the cheapest evidence that settles it (staged
+    refinement before search, as in McKay & Piperno, Practical graph
+    isomorphism II, 2014):
+
+    1. a power-map certificate, which exists exactly for same-orbit pairs;
+    2. loop count, 2-cycle count and refinement histogram;
+    3. the full fingerprint, whose <= 3-vertex pattern census dominates
+       the cost, only when stage 2 ties;
+    4. budgeted brute-force search.
+
+    Stage 3 compares whole fingerprints, so a pair is refuted before
+    search exactly when its fingerprints differ.
+    """
+    power = find_power_map(D1, D2)
+    if power is not None:
+        k, cert = power
+        return Decision(FOUND, POWER_MAP, cert, 0, k)
+    if memo is None:
+        memo = InvariantMemo()
+    if memo.cheap(D1) != memo.cheap(D2):
+        return Decision(NOT_ISOMORPHIC, INVARIANTS, None, 0)
+    if memo.fingerprint(D1) != memo.fingerprint(D2):
+        return Decision(NOT_ISOMORPHIC, CENSUS, None, 0)
+    outcome = brute_force_iso(D1, D2, budget)
+    return Decision(outcome.status, SEARCH, outcome.certificate, outcome.expansions)
 
 
 # --- helpers shared with tests and the harness ---

@@ -87,10 +87,8 @@ def _count_injections(D: MonomialDigraph, pattern: Pattern) -> int:
     core = sorted((v for v in range(pattern.order) if deg[v]), key=lambda v: (-deg[v], v))
     isolated = pattern.order - len(core)
 
-    loop_flags = [D.has_arc_index(i, i) for i in range(n)]
+    out_lists, in_lists, loop_flags = D.view
     loop_list = [i for i in range(n) if loop_flags[i]]
-    out_lists = [D.out_indices(i) for i in range(n)]
-    in_lists = D.in_index_lists()
 
     # per placement step: loop requirement plus arc checks against the
     # already-placed core prefix

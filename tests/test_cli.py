@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from mdlab.cli import main
+import mdlab.cli
+from mdlab.cli import _parse_prime_power, main
+from mdlab.errors import IoFailure
 
 
 def run(capsys, *argv):
@@ -102,9 +105,46 @@ class TestIso:
         assert code == 3
         assert "undecided" in out
 
+    # stdout and exit codes recorded before the staged decision replaced
+    # the power map -> fingerprint -> search chain in the command
+    @pytest.mark.parametrize("argv,code,stdout", [
+        (("--p", "5", "--d1", "1,2", "--d2", "3,2"), 0,
+         "unit orbits match\nisomorphic via power map k=3\ncertificate: "
+         "[0,1,2,3,4,5,6,7,8,9,15,16,17,18,19,10,11,12,13,14,20,21,22,23,24]\n"),
+        (("--p", "3", "--d1", "1,2", "--d2", "2,1"), 0,
+         "unit orbits differ\nnot isomorphic (fingerprints differ)\n"),
+        (("--p", "5", "--d1", "1,2", "--d2", "2,1"), 0,
+         "unit orbits differ\nnot isomorphic (fingerprints differ)\n"),
+        (("--p", "2", "--k", "2", "--d1", "1,3", "--d2", "3,2"), 0,
+         "unit orbits differ\n"
+         "not isomorphic (search exhausted all assignments, 1792 expansions)\n"),
+    ])
+    def test_output_per_stage(self, capsys, argv, code, stdout):
+        assert run(capsys, "iso", *argv)[:2] == (code, stdout)
+
     def test_bad_pair_syntax(self, capsys):
         code, _, _ = run(capsys, "iso", "--p", "5", "--d1", "1", "--d2", "3,2")
         assert code == 2
+
+
+class TestParsePrimePower:
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert _parse_prime_power("2147483647") == (2147483647, 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_prime_powers(self):
+        assert _parse_prime_power("8") == (2, 3)
+        assert _parse_prime_power("9") == (3, 2)
+        assert _parse_prime_power("7") == (7, 1)
+
+    def test_caret_form(self):
+        assert _parse_prime_power("2^3") == (2, 3)
+
+    @pytest.mark.parametrize("token", ["12", "1", "0"])
+    def test_rejects_non_prime_powers(self, token):
+        with pytest.raises(ValueError):
+            _parse_prime_power(token)
 
 
 class TestScans:
@@ -148,6 +188,36 @@ class TestScans:
                            "--budget", "1")
         assert code == 3
         assert "budget exhausted" in out
+
+    def test_out_is_replaced_only_when_complete(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "conj.jsonl"
+        target.write_bytes(b"previous report\n")
+
+        def failing_emit(report, fmt, handle):
+            handle.write("partial")
+            raise IoFailure("report emission failed: disk full")
+
+        monkeypatch.setattr(mdlab.cli, "emit_report", failing_emit)
+        code, _, err = run(capsys, "conjecture", "--p", "3", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error:")
+        assert target.read_bytes() == b"previous report\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["conj.jsonl"]
+
+    def test_out_overwrites_on_success(self, capsys, tmp_path):
+        target = tmp_path / "conj.jsonl"
+        target.write_bytes(b"previous report\n")
+        code, stdout, _ = run(capsys, "conjecture", "--p", "3")
+        assert run(capsys, "conjecture", "--p", "3", "--out", str(target))[0] == code
+        assert target.read_text() == stdout
+        assert [path.name for path in tmp_path.iterdir()] == ["conj.jsonl"]
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nonpositive_k_rejected(self, capsys, k):
+        code, out, err = run(capsys, "conjecture", "--p", "3", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["theorem"]) == 2  # missing --pmax

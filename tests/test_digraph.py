@@ -2,6 +2,8 @@
 brute-force arc-equation oracle for everything else."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mdlab.errors import CapExceeded, InvalidExponent
@@ -128,6 +130,27 @@ class TestConverse:
     def test_converse_equals_swapped_build(self, p, k, m, n):
         ctx = extension_field(p, k)
         assert build_digraph(ctx, m, n).converse().same_arcs(build_digraph(ctx, n, m))
+
+
+class TestAdjacencyView:
+    @pytest.mark.parametrize("p,k,m,n", [(3, 1, 1, 2), (2, 2, 1, 3), (5, 1, 2, 3),
+                                         (7, 1, 5, 2), (3, 2, 2, 5)])
+    def test_view_matches_row_scans(self, p, k, m, n):
+        from mdlab.iso import permute_digraph
+        D = build_digraph(extension_field(p, k), m, n)
+        shuffled = list(range(D.order))
+        random.Random(p * 100 + m * 10 + n).shuffle(shuffled)
+        for G in (D, D.converse(), permute_digraph(D, shuffled)):
+            out_lists, in_lists, loop_flags = G.view
+            assert [list(t) for t in out_lists] == [G.out_indices(i) for i in range(G.order)]
+            transpose = {(j, i) for i in range(G.order) for j in G.out_indices(i)}
+            assert {(j, i) for j, sources in enumerate(in_lists) for i in sources} == transpose
+            assert all(list(sources) == sorted(sources) for sources in in_lists)
+            assert list(loop_flags) == [G.has_arc_index(i, i) for i in range(G.order)]
+
+    def test_view_is_built_once(self):
+        D = build_digraph(prime_field(5), 1, 2)
+        assert D.view is D.view
 
 
 class TestLoopVertices:

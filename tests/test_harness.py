@@ -229,6 +229,26 @@ class TestWorkerConfig:
         serial = run_exercise_scan([(3, 2)], workers=1)
         assert jsonl_bytes(via_env) == jsonl_bytes(serial)
 
+    def test_env_clamped_to_usable_cpus(self, monkeypatch):
+        from mdlab.harness import _resolve_workers
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("MDL_THREADS", "100000")
+        assert _resolve_workers(None) == 2
+        monkeypatch.setenv("MDL_THREADS", "1")
+        assert _resolve_workers(None) == 1
+        monkeypatch.delenv("MDL_THREADS")
+        assert _resolve_workers(None) == 2
+        assert _resolve_workers(5) == 5  # an explicit count is not clamped
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        from mdlab.harness import _resolve_workers
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("MDL_THREADS", "100000")
+        assert _resolve_workers(None) == 3
+        monkeypatch.delenv("MDL_THREADS")
+        assert _resolve_workers(None) == 3
+
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("MDL_THREADS", "0")
         with pytest.raises(ValueError):

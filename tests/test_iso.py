@@ -13,13 +13,19 @@ from mdlab.digraph import build_digraph
 from mdlab.errors import CongruenceFailed, NotCoprime, SizeMismatch
 from mdlab.field import extension_field, prime_field
 from mdlab.iso import (
+    CENSUS,
     EXHAUSTED,
     FOUND,
+    INVARIANTS,
     NOT_ISOMORPHIC,
+    POWER_MAP,
+    SEARCH,
+    InvariantMemo,
     brute_force_iso,
     certificate_from_json,
     certificate_to_json,
     color_refinement,
+    decide_iso,
     find_power_map,
     fingerprint,
     frobenius_automorphism,
@@ -218,6 +224,65 @@ class TestBruteForce:
         D1, D2 = build_digraph(ctx, 1, 5), build_digraph(ctx, 5, 1)
         assert find_power_map(D1, D2) is not None
         assert brute_force_iso(D1, D2).status == FOUND
+
+
+class TestDecideIso:
+    @pytest.mark.parametrize("p,k", [(2, 2), (5, 1)])
+    def test_matches_full_fingerprint_chain(self, p, k):
+        # reference: power map, then whole fingerprints, then search
+        ctx = extension_field(p, k)
+        q = ctx.q
+        digs = {(m, n): build_digraph(ctx, m, n) for m in range(1, q) for n in range(1, q)}
+        prints = {key: fingerprint(D) for key, D in digs.items()}
+        memo = InvariantMemo()
+        for a, b in combinations(sorted(digs), 2):
+            decision = decide_iso(digs[a], digs[b], memo=memo)
+            if unit_orbit(q, *a) == unit_orbit(q, *b):
+                assert (decision.status, decision.stage) == (FOUND, POWER_MAP)
+                k_ref, cert_ref = find_power_map(digs[a], digs[b])
+                assert (decision.power_k, decision.certificate) == (k_ref, cert_ref)
+            elif prints[a] != prints[b]:
+                assert decision.status == NOT_ISOMORPHIC
+                assert decision.stage in (INVARIANTS, CENSUS)
+            else:
+                outcome = brute_force_iso(digs[a], digs[b])
+                assert decision.stage == SEARCH
+                assert (decision.status, decision.expansions) == (
+                    outcome.status, outcome.expansions)
+
+    @pytest.fixture
+    def census_calls(self, monkeypatch):
+        """Digraphs whose full fingerprint (and so pattern census) is computed."""
+        import mdlab.iso as iso
+        calls = []
+        real = iso.fingerprint
+        monkeypatch.setattr(iso, "fingerprint", lambda D: calls.append(D) or real(D))
+        return calls
+
+    def test_census_only_on_invariant_ties(self, census_calls):
+        # D(3;1,2) and D(3;2,1) share loops and 2-cycles but not the
+        # refinement histogram
+        ctx = prime_field(3)
+        decision = decide_iso(build_digraph(ctx, 1, 2), build_digraph(ctx, 2, 1))
+        assert (decision.status, decision.stage) == (NOT_ISOMORPHIC, INVARIANTS)
+        assert census_calls == []
+
+    def test_census_computed_once_per_digraph(self, census_calls):
+        # over GF(4), (1,3) ties with (3,1) and with (3,2) up to search;
+        # (3,1) and (3,2) share an orbit
+        ctx = extension_field(2, 2)
+        digs = [build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 1), build_digraph(ctx, 3, 2)]
+        memo = InvariantMemo()
+        stages = [decide_iso(a, b, memo=memo).stage for a, b in combinations(digs, 2)]
+        assert stages == [SEARCH, SEARCH, POWER_MAP]
+        assert len(census_calls) == 3
+        assert {id(D) for D in census_calls} == {id(D) for D in digs}
+
+    def test_budget_exhaustion(self):
+        ctx = extension_field(2, 2)
+        decision = decide_iso(build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 2), budget=1)
+        assert (decision.status, decision.stage) == (EXHAUSTED, SEARCH)
+        assert decision.certificate is None
 
 
 class TestUnitOrbit:
