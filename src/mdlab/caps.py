@@ -18,6 +18,9 @@ MAX_PATTERN_ORDER = 8             # vertices in a Pattern
 MAX_COUNT_PATTERN_ORDER = 5       # vertices countable by generic backtracking
 MAX_PATTERN_HOST_ORDER = 13       # q cap for generic pattern counting
 
+# Verification scans
+MAX_EXERCISE_ORDER = 32           # q cap for the exhaustive exercise scan
+
 # Isomorphism search
 MAX_CONJECTURE_ORDER = 7          # q cap for the exhaustive conjecture scan
 DEFAULT_SEARCH_BUDGET = 10**8     # backtracking node expansions
@@ -34,6 +37,7 @@ def as_dict() -> dict[str, int]:
         "max_pattern_order": MAX_PATTERN_ORDER,
         "max_count_pattern_order": MAX_COUNT_PATTERN_ORDER,
         "max_pattern_host_order": MAX_PATTERN_HOST_ORDER,
+        "max_exercise_order": MAX_EXERCISE_ORDER,
         "max_conjecture_order": MAX_CONJECTURE_ORDER,
         "default_search_budget": DEFAULT_SEARCH_BUDGET,
     }

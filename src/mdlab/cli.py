@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed / objects produced, 1 at least one
 failing record (or a missing isomorphism where one was asserted),
-2 usage or validation error, 3 search budget exhausted on a decisive
-pair. Worker count for scans comes from MDL_THREADS.
+2 usage or validation error, an exceeded size cap, or a scan worker that
+died, 3 search budget exhausted on a decisive pair. Worker count for scans
+comes from MDL_THREADS.
 """
 from __future__ import annotations
 

@@ -81,3 +81,7 @@ class EvenCharacteristic(MdlabError):
 
 class IoFailure(MdlabError):
     """Report emission failed at the I/O layer."""
+
+
+class WorkerPoolFailed(MdlabError):
+    """A scan worker process died, so the pool could not finish the scan."""

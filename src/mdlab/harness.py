@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 from typing import IO, Iterable, Sequence
@@ -21,7 +23,7 @@ from typing import IO, Iterable, Sequence
 from . import caps
 from ._version import __version__
 from .digraph import build_digraph
-from .errors import CapExceeded, IoFailure
+from .errors import CapExceeded, IoFailure, WorkerPoolFailed
 from .field import FieldCtx, extension_field, prime_field, _smallest_factor
 from .iso import (
     EXHAUSTED,
@@ -114,9 +116,12 @@ def _run_items(worker, items: Sequence, workers: int) -> list[CheckRecord]:
     if workers <= 1 or len(items) < 2:
         batches = map(worker, items)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            chunk = max(1, len(items) // (workers * 4))
-            batches = list(pool.map(worker, items, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+                chunk = max(1, len(items) // (workers * 4))
+                batches = list(pool.map(worker, items, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            raise WorkerPoolFailed(f"worker pool failed: {exc}") from exc
     out: list[CheckRecord] = []
     for batch in batches:
         out.extend(batch)
@@ -128,8 +133,13 @@ def _odd_primes_up_to(limit: int) -> list[int]:
 
 
 def _reciprocal_pairs(q: int) -> list[tuple[int, int]]:
+    """Every (m, n) in {1..q-1}^2 with mn = 1 mod (q - 1), ordered by m:
+    each unit m has exactly one such n, its inverse mod q - 1. Modulo 1
+    that inverse is 0, outside the range, so q = 2 gives (1, 1) directly."""
+    if q == 2:
+        return [(1, 1)]
     r = q - 1
-    return [(m, n) for m in range(1, q) for n in range(1, q) if (m * n) % r == 1 % r]
+    return [(m, pow(m, -1, r)) for m in range(1, q) if math.gcd(m, r) == 1]
 
 
 # --- theorem scan ---
@@ -218,9 +228,15 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]],
     """Prime-power generalization: for each field, every reciprocal pair
     (m, n) mod (q-1) and every (a, b), the trinomials X^(m+1) + aX + b and
     X^(n+1) + aX + b^m must have equal distinct-root counts."""
+    # every field within the cap before any work; a degree out of range is
+    # left to extension_field below, and bounds p**k here
+    for p, k in fields:
+        if 1 <= k <= caps.MAX_EXTENSION_DEGREE and p**k > caps.MAX_EXERCISE_ORDER:
+            raise CapExceeded(f"exercise scan over GF({p}^{k}) exceeds cap "
+                              f"q <= {caps.MAX_EXERCISE_ORDER}")
     items = []
     for p, k in fields:
-        ctx = extension_field(p, k)  # validates p, k, and the caps
+        ctx = extension_field(p, k)  # validates p, k, and the field caps
         items.extend((p, k, m, n) for (m, n) in _reciprocal_pairs(ctx.q))
     records = _run_items(_exercise_worker, items, _resolve_workers(workers))
     return _assemble(records, {

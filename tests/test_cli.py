@@ -2,13 +2,20 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
 import mdlab.cli
+import mdlab.harness
 from mdlab.cli import _parse_prime_power, main
 from mdlab.errors import IoFailure
+
+
+def _die(item):
+    """A scan worker whose process exits without returning, as on a crash."""
+    os._exit(1)
 
 
 def run(capsys, *argv):
@@ -175,6 +182,25 @@ class TestScans:
         code, _, err = run(capsys, "exercise", "--fields", "6")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("fields", ["1009", "10000019", "8,1009", "2^6"])
+    def test_exercise_over_cap_exits_2_at_once(self, capsys, fields):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "exercise", "--fields", fields)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_crashed_worker_exits_2(self, capsys, monkeypatch):
+        # two usable CPUs, so the items go to a pool even on a 1-CPU host
+        monkeypatch.setattr(mdlab.harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mdlab.harness, "_exercise_worker", _die)
+        monkeypatch.setenv("MDL_THREADS", "2")
+        code, out, err = run(capsys, "exercise", "--fields", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: worker pool failed")
 
     def test_conjecture_verdict(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--p", "3")

@@ -6,8 +6,12 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
-from mdlab import caps
+from mdlab import caps, field
 from mdlab.errors import CapExceeded, CompositeModulus, ZeroInverse
 from mdlab.field import extension_field, power_map_is_bijective, prime_field
 
@@ -195,3 +199,128 @@ class TestFieldProperties:
             image = {ctx.pow(a, m) for a in ctx.elements()}
             assert (len(image) == ctx.q) == power_map_is_bijective(ctx, m)
             assert power_map_is_bijective(ctx, m) == (math.gcd(m, ctx.q - 1) == 1)
+
+
+# --- digit-vector oracle for GF(p^k), independent of the field tables ---
+
+def oracle_digits(ctx, code: int) -> list[int]:
+    return [code // ctx.p**i % ctx.p for i in range(ctx.k)]
+
+
+def oracle_code(ctx, digits) -> int:
+    return sum(d * ctx.p**i for i, d in enumerate(digits))
+
+
+def oracle_add(ctx, a: int, b: int) -> int:
+    return oracle_code(ctx, [(x + y) % ctx.p for x, y in
+                             zip(oracle_digits(ctx, a), oracle_digits(ctx, b))])
+
+
+def oracle_neg(ctx, a: int) -> int:
+    return oracle_code(ctx, [-x % ctx.p for x in oracle_digits(ctx, a)])
+
+
+def oracle_mul(ctx, a: int, b: int) -> int:
+    # schoolbook product of the digit polynomials, then long division by the
+    # canonical modulus from the top coefficient down
+    p, k = ctx.p, ctx.k
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(oracle_digits(ctx, a)):
+        for j, y in enumerate(oracle_digits(ctx, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j, mc in enumerate(ctx.modulus):
+            prod[top - k + j] = (prod[top - k + j] - c * mc) % p
+    assert not any(prod[k:])
+    return oracle_code(ctx, prod[:k])
+
+
+def oracle_pow(ctx, a: int, e: int) -> int:
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = oracle_mul(ctx, result, base)
+        base = oracle_mul(ctx, base, base)
+        e >>= 1
+    return result
+
+
+def prime_divisors(n: int) -> list[int]:
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+
+
+SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= 81]
+LARGE_EXTENSIONS = [(7, 6), (5, 4), (13, 3), (127, 2)]
+
+
+class TestZechTables:
+    @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
+    def test_ops_match_oracle_exhaustively(self, p, k):
+        ctx = extension_field(p, k)
+        q = ctx.q
+        for a in range(q):
+            assert ctx.neg(a) == oracle_neg(ctx, a)
+            assert ctx.add(a, ctx.neg(a)) == 0
+            for e in (0, 1, 2, q - 2, q - 1, q, q + 1, 3 * q + 5):
+                assert ctx.pow(a, e) == oracle_pow(ctx, a, e), (a, e)
+            if a:
+                assert ctx.inv(a) == oracle_pow(ctx, a, q - 2)
+            for b in range(q):
+                assert ctx.add(a, b) == oracle_add(ctx, a, b), (a, b)
+                assert ctx.mul(a, b) == oracle_mul(ctx, a, b), (a, b)
+                assert ctx.sub(a, b) == oracle_add(ctx, a, oracle_neg(ctx, b)), (a, b)
+
+    @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS + LARGE_EXTENSIONS)
+    def test_table_structure(self, p, k):
+        ctx = extension_field(p, k)
+        exp, log, zech = ctx._tables
+        q, n = ctx.q, ctx.q - 1
+        g = exp[1]
+        assert oracle_pow(ctx, g, n) == 1
+        assert all(oracle_pow(ctx, g, n // r) != 1 for r in prime_divisors(n))
+        assert len(exp) == 2 * n and exp[n:] == exp[:n]
+        assert log[0] == -1
+        assert sorted(exp[:n]) == list(range(1, q))
+        assert all(log[exp[i]] == i for i in range(n))
+        for i in range(n):
+            one_plus = oracle_add(ctx, 1, exp[i])
+            assert zech[i] == (log[one_plus] if one_plus else -1)
+
+    @pytest.mark.parametrize("p,k", LARGE_EXTENSIONS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ops_match_oracle_random(self, p, k, data):
+        ctx = extension_field(p, k)
+        a = data.draw(st.integers(0, ctx.q - 1))
+        b = data.draw(st.integers(0, ctx.q - 1))
+        e = data.draw(st.integers(0, 5 * ctx.q))
+        assert ctx.add(a, b) == oracle_add(ctx, a, b)
+        assert ctx.mul(a, b) == oracle_mul(ctx, a, b)
+        assert ctx.neg(a) == oracle_neg(ctx, a)
+        assert ctx.sub(a, b) == oracle_add(ctx, a, oracle_neg(ctx, b))
+        assert ctx.add(a, ctx.neg(a)) == 0
+        assert ctx.pow(a, e) == oracle_pow(ctx, a, e)
+        if a:
+            assert ctx.inv(a) == oracle_pow(ctx, a, ctx.q - 2)
+
+    @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS + LARGE_EXTENSIONS)
+    def test_canonical_modulus_is_irreducible(self, p, k):
+        modulus = extension_field(p, k).modulus
+        assert gf_irreducible_p([ZZ(c) for c in reversed(modulus)], p, ZZ)
+        assert len(modulus) == k + 1 and modulus[-1] == 1
+
+    def test_tables_built_lazily_and_once(self, monkeypatch):
+        extension_field.cache_clear()
+        ctx = extension_field(3, 3)
+        assert "_tables" not in vars(ctx)
+        product_ = ctx.mul(5, 7)
+        assert "_tables" in vars(ctx)
+
+        def rebuild(*args):
+            raise AssertionError("tables rebuilt")
+
+        monkeypatch.setattr(field, "_zech_tables", rebuild)
+        again = extension_field(3, 3)
+        assert again is ctx
+        assert again.mul(5, 7) == product_

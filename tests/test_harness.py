@@ -10,6 +10,7 @@ import pytest
 from mdlab.errors import CapExceeded
 from mdlab.field import extension_field, prime_field
 from mdlab.harness import (
+    _reciprocal_pairs,
     emit_report,
     report_exit_code,
     run_conjecture_scan,
@@ -256,3 +257,12 @@ class TestWorkerConfig:
         monkeypatch.setenv("MDL_THREADS", "many")
         with pytest.raises(ValueError):
             run_theorem_scan(5)
+
+
+class TestReciprocalPairs:
+    def test_reciprocal_pairs_match_quadratic_definition(self):
+        for q in range(2, 201):
+            r = q - 1
+            quadratic = [(m, n) for m in range(1, q) for n in range(1, q)
+                         if (m * n) % r == 1 % r]
+            assert _reciprocal_pairs(q) == quadratic, q
