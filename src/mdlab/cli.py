@@ -17,7 +17,7 @@ from pathlib import Path
 from . import caps
 from ._version import __version__
 from .digraph import build_digraph
-from .errors import MdlabError
+from .errors import CapExceeded, MdlabError
 from .field import FieldCtx, _smallest_factor, extension_field
 from .harness import (
     emit_report,
@@ -174,7 +174,15 @@ def _parse_prime_power(token: str) -> tuple[int, int]:
 
 
 def _cmd_exercise(args) -> int:
-    fields = [_parse_prime_power(tok.strip()) for tok in args.fields.split(",")]
+    fields = []
+    for tok in args.fields.split(","):
+        tok = tok.strip()
+        # a bare order over the cap is refused before it is factored: trial
+        # division of a large prime would run for hours
+        if "^" not in tok and int(tok) > caps.MAX_EXERCISE_ORDER:
+            raise CapExceeded(f"exercise scan over GF({tok}) exceeds cap "
+                              f"q <= {caps.MAX_EXERCISE_ORDER}")
+        fields.append(_parse_prime_power(tok))
     report = run_exercise_scan(fields)
     _emit(report, args)
     return report_exit_code(report)

@@ -9,6 +9,7 @@ share across workers.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from . import caps
@@ -17,8 +18,13 @@ from .field import FieldCtx
 
 Vertex = tuple[int, int]
 
-# bit positions set in each byte value, for fast row scans
-_BYTE_BITS = tuple(tuple(b for b in range(8) if (v >> b) & 1) for v in range(256))
+# the set bits of each byte value, counted back from the end of the byte:
+# bit b of the byte that ends at row bit e is row bit e + (b - 8)
+_BYTE_BITS_FROM_END = tuple(tuple(b - 8 for b in range(8) if (v >> b) & 1)
+                            for v in range(256))
+# bytes.translate table: 0 for a zero byte, 1 for any other
+_NONZERO = bytes(1 if v else 0 for v in range(256))
+_inc = (1).__add__
 
 
 def normalize_exponent(e: int, q: int) -> int:
@@ -73,12 +79,18 @@ class MonomialDigraph:
         return self.has_arc_index(self.vertex_index(u), self.vertex_index(v))
 
     def out_indices(self, i: int) -> list[int]:
-        out = []
-        for pos, byte in enumerate(self.rows[i]):
-            if byte:
-                base = pos << 3
-                out.extend(base + b for b in _BYTE_BITS[byte])
-        return out
+        """Targets of source i in ascending order: the set bits of its row.
+
+        The only row decoder. The zero runs between nonzero bytes come from
+        one translate/split at C speed; their lengths accumulate into the
+        end of each nonzero byte, which then expands through its bit table.
+        """
+        row = self.rows[i]
+        gaps = row.translate(_NONZERO).split(b"\x01")
+        gaps.pop()  # the zero run after the last nonzero byte
+        return [(end << 3) + b
+                for end in accumulate(map(_inc, map(len, gaps)))
+                for b in _BYTE_BITS_FROM_END[row[end - 1]]]
 
     def out_neighbors(self, u: Vertex) -> list[Vertex]:
         """Targets of u, ordered by vertex index; always exactly q of them."""
@@ -157,8 +169,11 @@ def build_digraph(ctx: FieldCtx, m: int, n: int,
                   max_q: int = caps.MAX_DIGRAPH_ORDER) -> MonomialDigraph:
     """Construct D(q; m, n); exponents are normalized into {1, ..., q-1}.
 
-    Iterates (x1, x2, y1) and solves y2 = x1^m * y1^n - x2, so construction
-    is O(q^3) rather than a q^4 filter.
+    Solves y2 = x1^m * y1^n - x2 for every (x1, x2, y1), so construction is
+    O(q^3) rather than a q^4 filter. Over a prime field the row of (x1, x2)
+    is built once for x2 = 0 as an int; raising x2 by one moves the single
+    target in each q-bit block y1 down by one mod q, a rotation of every
+    block done with whole-int operations.
     """
     q = ctx.q
     if q > max_q:
@@ -171,14 +186,13 @@ def build_digraph(ctx: FieldCtx, m: int, n: int,
     if ctx.k == 1:
         pm = [pow(x, m, q) for x in range(q)]
         pn = [pow(y, n, q) for y in range(q)]
+        starts = sum(1 << (y1 * q) for y1 in range(q))  # bit 0 of every block
         for x1 in range(q):
-            prods = [pm[x1] * pn[y1] % q for y1 in range(q)]
-            for x2 in range(q):
-                row = bytearray(nbytes)
-                for y1 in range(q):
-                    t = y1 * q + (prods[y1] - x2) % q
-                    row[t >> 3] |= 1 << (t & 7)
-                rows.append(bytes(row))
+            r = sum(1 << (y1 * q + pm[x1] * pn[y1] % q) for y1 in range(q))
+            for _ in range(q):
+                rows.append(r.to_bytes(nbytes, "little"))
+                low = r & starts
+                r = ((r ^ low) >> 1) | (low << (q - 1))
     else:
         pm = [ctx.pow(x, m) for x in range(q)]
         pn = [ctx.pow(y, n) for y in range(q)]

@@ -183,7 +183,9 @@ class TestScans:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("fields", ["1009", "10000019", "8,1009", "2^6"])
+    @pytest.mark.parametrize("fields", ["1009", "10000019", "8,1009", "2^6",
+                                        "1000000000000000003",
+                                        "1000000000000000000"])
     def test_exercise_over_cap_exits_2_at_once(self, capsys, fields):
         start = time.perf_counter()
         code, out, err = run(capsys, "exercise", "--fields", fields)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlab.errors import CapExceeded, InvalidExponent
-from mdlab.digraph import build_digraph
+from mdlab.digraph import MonomialDigraph, build_digraph
 from mdlab.field import extension_field, prime_field
+from mdlab.iso import permute_digraph
 
 # All 27 arcs of D(3;1,2), listed vertex by vertex; each entry was
 # hand-checked against the arc equation x2 + y2 = x1 * y1^2 over GF(3).
@@ -132,11 +135,77 @@ class TestConverse:
         assert build_digraph(ctx, m, n).converse().same_arcs(build_digraph(ctx, n, m))
 
 
+def bits_of(row: bytes) -> list[int]:
+    """Oracle: every set bit of a row, tested one position at a time."""
+    return [j for j in range(8 * len(row)) if row[j >> 3] >> (j & 7) & 1]
+
+
+def decode(row: bytes) -> list[int]:
+    return MonomialDigraph(prime_field(3), 1, 1, (row,)).out_indices(0)
+
+
+def row_by_equation(q, m, n, x1, x2):
+    """Oracle row of (x1, x2) for a prime q: bit y1*q + y2 is set exactly
+    when x2 + y2 = x1^m * y1^n mod q."""
+    row = bytearray((q * q + 7) >> 3)
+    for y1 in range(q):
+        t = y1 * q + (pow(x1, m, q) * pow(y1, n, q) - x2) % q
+        row[t >> 3] |= 1 << (t & 7)
+    return bytes(row)
+
+
+class TestRowDecoder:
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                     (2, 2), (2, 3), (3, 2)])
+    def test_matches_bit_definition(self, p, k):
+        ctx = extension_field(p, k)
+        q = ctx.q
+        D = build_digraph(ctx, 1, q - 2 if q > 2 else 1)
+        shuffled = list(range(D.order))
+        random.Random(q).shuffle(shuffled)
+        for G in (D, D.converse(), permute_digraph(D, shuffled)):
+            for i in range(G.order):
+                assert G.out_indices(i) == [j for j in range(G.order)
+                                            if G.has_arc_index(i, j)]
+
+    @pytest.mark.parametrize("row", [
+        b"",
+        bytes(2),                 # all zero
+        b"\xff\xff",              # all set: every bit of GF(4)'s 16
+        b"\x08",                  # last bit of GF(2)'s half-used byte
+        b"\x00\x01",              # last bit of GF(3)'s one-bit final byte
+        b"\x05\x00\xa0\x81",      # several bits per byte
+        b"\x80" + bytes(9) + b"\x03",
+    ])
+    def test_hand_made_rows(self, row):
+        assert decode(row) == bits_of(row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_random_rows(self, row):
+        assert decode(row) == bits_of(row)
+
+
+class TestRotationBuild:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_rows_match_arc_equation(self, q):
+        for m, n in {(1, 1), (2, 3), (q - 1, 1), (5, max(1, q - 2))}:
+            D = build_digraph(prime_field(q), m, n)
+            assert list(D.rows) == [row_by_equation(q, m, n, x1, x2)
+                                    for x1 in range(q) for x2 in range(q)]
+
+    def test_spot_check_at_cap(self):
+        q, m, n = 181, 7, 49
+        D = build_digraph(prime_field(q), m, n)
+        assert D.arc_count == q**3
+        for i in range(0, D.order, 97):
+            assert D.rows[i] == row_by_equation(q, m, n, *divmod(i, q))
+
+
 class TestAdjacencyView:
     @pytest.mark.parametrize("p,k,m,n", [(3, 1, 1, 2), (2, 2, 1, 3), (5, 1, 2, 3),
                                          (7, 1, 5, 2), (3, 2, 2, 5)])
     def test_view_matches_row_scans(self, p, k, m, n):
-        from mdlab.iso import permute_digraph
         D = build_digraph(extension_field(p, k), m, n)
         shuffled = list(range(D.order))
         random.Random(p * 100 + m * 10 + n).shuffle(shuffled)

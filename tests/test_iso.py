@@ -8,6 +8,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mdlab.digraph import build_digraph
 from mdlab.errors import CongruenceFailed, NotCoprime, SizeMismatch
@@ -80,6 +82,23 @@ class TestVerify:
         # independent scan confirms both that it is a violation and that
         # it is the first one in index order
         assert result.witness == violation_scan(D1, D2, ident) == ((1, 0), (2, 1))
+
+    def test_broken_power_map_reports_first_violation(self):
+        ctx = prime_field(11)
+        D1 = build_digraph(ctx, 1, 3)
+        D2 = build_digraph(ctx, 7, 1)
+        cert = power_map_iso(D1, D2, 3)
+        rng = random.Random(11)
+        failures = 0
+        for a, b in [(0, 1), (5, 60), (119, 120)] + [
+                tuple(rng.sample(range(D1.order), 2)) for _ in range(5)]:
+            broken = list(cert)
+            broken[a], broken[b] = broken[b], broken[a]
+            result = verify_iso(D1, D2, tuple(broken))
+            assert result.witness == violation_scan(D1, D2, broken)
+            assert result.ok == (result.witness is None)
+            failures += not result.ok
+        assert failures
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -353,3 +372,24 @@ class TestCertificateJson:
             certificate_from_json("[0,0,1]", 3)
         with pytest.raises(ValueError):
             certificate_from_json('{"a":1}', 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
+    def test_roundtrip_permutations(self, perm):
+        cert = tuple(perm)
+        assert certificate_from_json(certificate_to_json(cert), len(cert)) == cert
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-3, 40), min_size=1, max_size=30))
+    def test_rejects_non_permutations(self, values):
+        n = len(values)
+        assume(sorted(values) != list(range(n)))
+        with pytest.raises(ValueError):
+            certificate_from_json(certificate_to_json(tuple(values)), n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.permutations(range(n))),
+           st.integers(-5, 5).filter(bool))
+    def test_rejects_wrong_length(self, perm, delta):
+        with pytest.raises(SizeMismatch):
+            certificate_from_json(certificate_to_json(tuple(perm)), max(0, len(perm) + delta))
