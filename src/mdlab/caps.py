@@ -8,6 +8,8 @@ MAX_PRIME = (1 << 31) - 1         # arithmetic-only prime fields up to here
 
 # Root counting
 MAX_BOTH_METHOD_ORDER = 10_000    # default cross-validation threshold
+MAX_TRINOMIAL_DEGREE = 6_000      # d in X^d + aX + b over a prime field
+MAX_EXTENSION_TRINOMIAL_DEGREE = 32  # the same over GF(p^k), k > 1
 
 # Digraphs
 MAX_DIGRAPH_ORDER = 181           # q cap for the dense q^2 x q^2 bit matrix
@@ -20,6 +22,7 @@ MAX_PATTERN_HOST_ORDER = 13       # q cap for generic pattern counting
 
 # Verification scans
 MAX_EXERCISE_ORDER = 32           # q cap for the exhaustive exercise scan
+MAX_THEOREM_PMAX = 700            # largest p_max of the theorem scan
 
 # Isomorphism search
 MAX_CONJECTURE_ORDER = 7          # q cap for the exhaustive conjecture scan
@@ -32,12 +35,15 @@ def as_dict() -> dict[str, int]:
         "max_enumeration_order": MAX_ENUMERATION_ORDER,
         "max_prime": MAX_PRIME,
         "max_both_method_order": MAX_BOTH_METHOD_ORDER,
+        "max_trinomial_degree": MAX_TRINOMIAL_DEGREE,
+        "max_extension_trinomial_degree": MAX_EXTENSION_TRINOMIAL_DEGREE,
         "max_digraph_order": MAX_DIGRAPH_ORDER,
         "max_dot_order": MAX_DOT_ORDER,
         "max_pattern_order": MAX_PATTERN_ORDER,
         "max_count_pattern_order": MAX_COUNT_PATTERN_ORDER,
         "max_pattern_host_order": MAX_PATTERN_HOST_ORDER,
         "max_exercise_order": MAX_EXERCISE_ORDER,
+        "max_theorem_pmax": MAX_THEOREM_PMAX,
         "max_conjecture_order": MAX_CONJECTURE_ORDER,
         "default_search_budget": DEFAULT_SEARCH_BUDGET,
     }

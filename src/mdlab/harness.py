@@ -145,40 +145,44 @@ def _reciprocal_pairs(q: int) -> list[tuple[int, int]]:
 # --- theorem scan ---
 
 def _theorem_worker(item: tuple[int, int, int, bool]) -> list[CheckRecord]:
+    """Records of one reciprocal pair m <= n: the theorem record of (m, n),
+    its mirror (n, m) when m != n, and with digraphs the k_formula record
+    of each exponent."""
     p, m, n, with_digraphs = item
     ctx = prime_field(p)
     r_m = nontrivial_root_count(ctx, m)
-    r_n = nontrivial_root_count(ctx, n)
+    r_n = r_m if n == m else nontrivial_root_count(ctx, n)
     observed = {"r_m": r_m, "r_n": r_n}
+    mirrored = {"r_m": r_n, "r_n": r_m}
     ok = r_m == r_n
     records = []
     if with_digraphs:
         c_m = count_looped_arc(build_digraph(ctx, 1, m))
-        c_n = count_looped_arc(build_digraph(ctx, 1, n))
-        observed["count_k_m"] = c_m
-        observed["count_k_n"] = c_n
+        c_n = c_m if n == m else count_looped_arc(build_digraph(ctx, 1, n))
+        observed.update(count_k_m=c_m, count_k_n=c_n)
+        mirrored.update(count_k_m=c_n, count_k_n=c_m)
         ok = ok and c_m == c_n
-        # the count formula of verify_looped_arc_formula, from the counts
-        # above; (m, n) and (n, m) are both items, so only m <= n reports it
-        if m <= n:
-            for exponent, counted, roots in sorted({(m, c_m, r_m), (n, c_n, r_n)}):
-                predicted = (p - 1) * roots
-                formula_ok = counted == predicted
-                records.append(CheckRecord(
-                    check="k_formula",
-                    params={"p": p, "n": exponent},
-                    observed={"count_k": counted, "expected": predicted},
-                    passed=formula_ok,
-                    witness=None if formula_ok else
-                    f"count {counted} != (p-1)*roots {predicted}",
-                ))
-    records.insert(0, CheckRecord(
-        check="theorem",
-        params={"p": p, "m": m, "n": n},
-        observed=observed,
-        passed=ok,
-        witness=None if ok else f"observed {observed}",
-    ))
+        # the count formula of verify_looped_arc_formula, from the counts above
+        for exponent, counted, roots in sorted({(m, c_m, r_m), (n, c_n, r_n)}):
+            predicted = (p - 1) * roots
+            formula_ok = counted == predicted
+            records.append(CheckRecord(
+                check="k_formula",
+                params={"p": p, "n": exponent},
+                observed={"count_k": counted, "expected": predicted},
+                passed=formula_ok,
+                witness=None if formula_ok else
+                f"count {counted} != (p-1)*roots {predicted}",
+            ))
+    pairs = [((m, n), observed)] if m == n else [((m, n), observed), ((n, m), mirrored)]
+    for (first, second), values in pairs:
+        records.append(CheckRecord(
+            check="theorem",
+            params={"p": p, "m": first, "n": second},
+            observed=values,
+            passed=ok,
+            witness=None if ok else f"observed {values}",
+        ))
     return records
 
 
@@ -186,13 +190,18 @@ def run_theorem_scan(p_max: int, with_digraphs: bool = False,
                      workers: int | None = None) -> ScanReport:
     """Root-count equality for every odd prime p <= p_max and every pair
     m, n in {1..p-1} with mn = 1 mod (p-1); with_digraphs additionally
-    checks the digraph pattern counts and the count formula for p <= 13."""
+    checks the digraph pattern counts and the count formula for p <= 13.
+    One work item covers a pair and its mirror, since mn = nm."""
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
+    if p_max > caps.MAX_THEOREM_PMAX:
+        raise CapExceeded(f"theorem scan to p_max {p_max} exceeds cap "
+                          f"p_max <= {caps.MAX_THEOREM_PMAX}")
     items = [
         (p, m, n, with_digraphs and p <= caps.MAX_PATTERN_HOST_ORDER)
         for p in _odd_primes_up_to(p_max)
         for (m, n) in _reciprocal_pairs(p)
+        if m <= n
     ]
     records = _run_items(_theorem_worker, items, _resolve_workers(workers))
     return _assemble(records, {

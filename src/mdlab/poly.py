@@ -7,15 +7,31 @@ evaluation (needs q small enough to enumerate) and deg gcd(f, X^q - X)
 computed by modular exponentiation, which never materializes X^q and is
 the fast path for very large prime fields.
 
-Prime-field products use Kronecker substitution (coefficients packed into
-slots of one big integer, multiplied once, unpacked mod p), so repeated
-squaring stays cheap even for degree-hundreds operands. Reduction loops
-touch only the nonzero modulus coefficients, which makes reduction by a
-trinomial O(1) per degree step.
+Each field kind has one arithmetic path. Prime fields (k = 1) work on
+plain residues with inline ``% p`` and never call a FieldCtx method per
+coefficient; extension fields go through the FieldCtx table lookups.
+On the prime-field path:
+
+- Products use Kronecker substitution (von zur Gathen & Gerhard, *Modern
+  Computer Algebra*, 8.4): each coefficient goes into a byte-aligned slot
+  of one big integer, wide enough that no convolution sum carries into
+  the next slot, the two integers are multiplied once, and the product
+  is cut back into slots from one ``to_bytes`` buffer. Packing and
+  unpacking are linear in the operand size, so repeated squaring stays
+  cheap even for degree-thousands operands.
+- Reduction by a sparse modulus (the trinomial in ``poly_powmod``)
+  touches only its nonzero coefficients, O(1) per degree step; reduction
+  by a dense one (the gcd remainders) updates the whole window under the
+  divisor in one list comprehension per step.
+- Evaluation is Horner's rule over the nonzero terms only, with each
+  distinct gap power computed once per point, so a trinomial costs a few
+  ``pow`` calls per point whatever its degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 from . import caps
 from .errors import (
@@ -52,12 +68,29 @@ def degree(f: Poly) -> int | None:
     return len(f) - 1 if f else None
 
 
+@lru_cache(maxsize=64)
+def _horner_plan(f: Poly) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(gaps, steps) for Horner over the nonzero terms of f: gaps holds
+    each distinct exponent gap once, and steps runs from the leading term
+    down as (coefficient, index into gaps of the gap to the next nonzero
+    term, or to X^0 after the last)."""
+    exps = [e for e in range(len(f) - 1, -1, -1) if f[e]]
+    diffs = [e - nxt for e, nxt in zip(exps, exps[1:] + [0])]
+    gaps = tuple(sorted(set(diffs)))
+    slot = {g: i for i, g in enumerate(gaps)}
+    return gaps, tuple((f[e], slot[d]) for e, d in zip(exps, diffs))
+
+
 def eval_at(ctx: FieldCtx, f: Poly, x: int) -> int:
-    """Horner evaluation of f at x."""
+    """Horner evaluation of f at x; on prime fields over the nonzero
+    terms only, acc = (acc + c) * x^gap."""
     if ctx.k == 1:
-        p, acc = ctx.p, 0
-        for c in reversed(f):
-            acc = (acc * x + c) % p
+        p = ctx.p
+        gaps, steps = _horner_plan(f)
+        powers = [pow(x, g, p) for g in gaps]
+        acc = 0
+        for c, i in steps:
+            acc = (acc + c) * powers[i] % p
         return acc
     acc = 0
     for c in reversed(f):
@@ -85,23 +118,18 @@ def scale(ctx: FieldCtx, f: Poly, c: int) -> Poly:
 
 
 def _mul_kronecker(f: Poly, g: Poly, p: int) -> Poly:
-    # pack coefficients into slots wide enough that convolution sums never
-    # carry across slot boundaries
+    # byte-aligned slots wide enough that convolution sums never carry
+    # across slot boundaries
     bound = (p - 1) * (p - 1) * min(len(f), len(g))
-    w = bound.bit_length()
-    fi = 0
-    for c in reversed(f):
-        fi = (fi << w) | c
-    gi = 0
-    for c in reversed(g):
-        gi = (gi << w) | c
-    prod = fi * gi
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(len(f) + len(g) - 1):
-        out.append((prod & mask) % p)
-        prod >>= w
-    return normalize(out)
+    wb = (bound.bit_length() + 7) // 8
+    fi = int.from_bytes(b"".join(c.to_bytes(wb, "little") for c in f), "little")
+    # the same int object on both sides lets CPython square instead
+    gi = fi if g is f else int.from_bytes(
+        b"".join(c.to_bytes(wb, "little") for c in g), "little")
+    size = (len(f) + len(g) - 1) * wb
+    buf = (fi * gi).to_bytes(size, "little")
+    return normalize([int.from_bytes(buf[i:i + wb], "little") % p
+                      for i in range(0, size, wb)])
 
 
 def mul(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
@@ -131,6 +159,8 @@ def poly_mod(ctx: FieldCtx, f: Poly, m: Poly) -> Poly:
     dm = len(m) - 1
     if dm == 0:
         return ZERO
+    if ctx.k == 1:
+        return _poly_mod_prime(f, m, ctx.p)
     inv_lead = ctx.inv(m[-1])
     support = [(i, m[i]) for i in range(dm) if m[i] != 0]
     r = list(f)
@@ -142,6 +172,34 @@ def poly_mod(ctx: FieldCtx, f: Poly, m: Poly) -> Poly:
             for i, mc in support:
                 r[shift + i] = ctx.sub(r[shift + i], ctx.mul(c, mc))
         r[top] = 0
+    return normalize(r)
+
+
+def _poly_mod_prime(f: Poly, m: Poly, p: int) -> Poly:
+    """poly_mod over GF(p), deg m >= 1. Each step subtracts c * m under
+    the leading term; entries at and above the current top are never read
+    again, so they are dropped once at the end instead of zeroed."""
+    dm = len(m) - 1
+    inv_lead = pow(m[-1], -1, p)
+    r = list(f)
+    if 4 * (dm - m.count(0)) < dm:  # a sparse divisor: loop over its support
+        support = [(i, m[i]) for i in compress(range(dm), m)]
+        for top in range(len(r) - 1, dm - 1, -1):
+            c = r[top]
+            if c:
+                c = c * inv_lead % p
+                shift = top - dm
+                for i, mc in support:
+                    r[shift + i] = (r[shift + i] - c * mc) % p
+    else:
+        for top in range(len(r) - 1, dm - 1, -1):
+            c = r[top]
+            if c:
+                c = c * inv_lead % p
+                shift = top - dm
+                # zip stops after the dm entries below top, before m[dm]
+                r[shift:top] = [(a - c * b) % p for a, b in zip(r[shift:top], m)]
+    del r[dm:]
     return normalize(r)
 
 
@@ -177,6 +235,9 @@ def trinomial(ctx: FieldCtx, d: int, a: int, b: int) -> Poly:
     """X^d + aX + b; a and b may be negative ints for prime fields."""
     if d < 2:
         raise DegreeTooSmall(f"trinomial degree must be >= 2, got {d}")
+    cap = caps.MAX_TRINOMIAL_DEGREE if ctx.k == 1 else caps.MAX_EXTENSION_TRINOMIAL_DEGREE
+    if d > cap:
+        raise CapExceeded(f"trinomial degree {d} over {ctx!r} exceeds cap {cap}")
     coeffs = [0] * (d + 1)
     coeffs[0] = ctx.element(b)
     coeffs[1] = ctx.element(a)

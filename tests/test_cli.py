@@ -9,6 +9,7 @@ import pytest
 
 import mdlab.cli
 import mdlab.harness
+from mdlab import caps
 from mdlab.cli import _parse_prime_power, main
 from mdlab.errors import IoFailure
 
@@ -70,6 +71,20 @@ class TestRoots:
                            "--a", "-2", "--b", "1")
         assert code == 0
         assert "distinct roots: 3" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "2147483647", "--degree", str(caps.MAX_TRINOMIAL_DEGREE + 1), "--method", "gcd"),
+        ("--p", "2147483647", "--degree", "1000000", "--method", "gcd"),
+        ("--p", "7", "--degree", "100000000000"),
+        ("--p", "2", "--k", "2", "--degree", str(caps.MAX_EXTENSION_TRINOMIAL_DEGREE + 1)),
+    ])
+    def test_degree_over_cap_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "roots", *argv, "--a", "3", "--b", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_negative_codes_rejected_on_extension_fields(self, capsys):
         code, _, err = run(capsys, "roots", "--p", "2", "--k", "2", "--degree", "3",
@@ -189,6 +204,15 @@ class TestScans:
     def test_exercise_over_cap_exits_2_at_once(self, capsys, fields):
         start = time.perf_counter()
         code, out, err = run(capsys, "exercise", "--fields", fields)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("pmax", [str(caps.MAX_THEOREM_PMAX + 1), "100000000"])
+    def test_theorem_over_cap_exits_2_at_once(self, capsys, pmax):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "theorem", "--pmax", pmax)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import io
 import math
+import random
 
 import pytest
 
+import mdlab.harness
+from mdlab import caps
+from mdlab.digraph import build_digraph
 from mdlab.errors import CapExceeded
 from mdlab.field import extension_field, prime_field
+from mdlab.patterns import count_looped_arc
+from mdlab.poly import nontrivial_root_count
 from mdlab.harness import (
     _reciprocal_pairs,
     emit_report,
@@ -80,6 +86,32 @@ class TestTheoremScan:
     def test_pmax_validation(self):
         with pytest.raises(ValueError):
             run_theorem_scan(2)
+
+    def test_pmax_cap_checked_before_primes(self, monkeypatch):
+        def enumerate_primes(limit):
+            raise AssertionError("primes enumerated before the cap check")
+
+        monkeypatch.setattr(mdlab.harness, "_odd_primes_up_to", enumerate_primes)
+        for p_max in (caps.MAX_THEOREM_PMAX + 1, 10**8):
+            with pytest.raises(CapExceeded):
+                run_theorem_scan(p_max)
+
+    def test_mirrored_records_match_direct_counts(self):
+        # each item emits (m, n) and (n, m); check every record, mirrored
+        # ones included, against counts computed here one exponent at a time
+        report = run_theorem_scan(31, with_digraphs=True, workers=1)
+        theorem = [r for r in report.records if r.check == "theorem"]
+        assert any(r.params["m"] > r.params["n"] for r in theorem)
+        for rec in theorem:
+            p, m, n = rec.params["p"], rec.params["m"], rec.params["n"]
+            ctx = prime_field(p)
+            expected = {"r_m": nontrivial_root_count(ctx, m),
+                        "r_n": nontrivial_root_count(ctx, n)}
+            if p <= caps.MAX_PATTERN_HOST_ORDER:
+                expected["count_k_m"] = count_looped_arc(build_digraph(ctx, 1, m))
+                expected["count_k_n"] = count_looped_arc(build_digraph(ctx, 1, n))
+            assert rec.observed == expected, (p, m, n)
+            assert rec.passed
 
 
 class TestExerciseScan:
@@ -174,6 +206,24 @@ class TestEmission:
         b = run_theorem_scan(13, with_digraphs=True)
         assert jsonl_bytes(a) == jsonl_bytes(b)
         assert csv_bytes(a) == csv_bytes(b)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_work_order_independent(self, monkeypatch, order):
+        run_items = mdlab.harness._run_items
+
+        def reordered(worker, items, workers):
+            items = list(items)
+            if order == "reversed":
+                items.reverse()
+            else:
+                random.Random(20261018).shuffle(items)
+            return run_items(worker, items, workers)
+
+        scans = (lambda: run_theorem_scan(31, with_digraphs=True, workers=1),
+                 lambda: run_exercise_scan([(2, 2), (5, 1)], workers=1))
+        expected = [jsonl_bytes(scan()) for scan in scans]
+        monkeypatch.setattr(mdlab.harness, "_run_items", reordered)
+        assert [jsonl_bytes(scan()) for scan in scans] == expected
 
     def test_schedule_independent(self):
         serial = run_exercise_scan([(3, 2), (5, 1)], workers=1)

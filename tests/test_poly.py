@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from mdlab.errors import BothZero, DegreeTooSmall, ZeroModulus, ZeroPolynomial
+from mdlab import caps
+from mdlab.errors import (
+    BothZero,
+    CapExceeded,
+    DegreeTooSmall,
+    ZeroModulus,
+    ZeroPolynomial,
+)
 from mdlab.field import extension_field, prime_field
 from mdlab.poly import (
     X,
@@ -66,6 +73,15 @@ class TestTrinomial:
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
             trinomial(prime_field(11), 1, -2, 1)
+
+    @pytest.mark.parametrize("ctx,cap", [
+        (prime_field(11), caps.MAX_TRINOMIAL_DEGREE),
+        (extension_field(2, 2), caps.MAX_EXTENSION_TRINOMIAL_DEGREE),
+    ])
+    def test_degree_cap(self, ctx, cap):
+        assert len(trinomial(ctx, cap, 1, 1)) == cap + 1
+        with pytest.raises(CapExceeded):
+            trinomial(ctx, cap + 1, 1, 1)
 
 
 class TestGcd:
