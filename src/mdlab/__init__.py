@@ -35,8 +35,6 @@ from .patterns import (
 from .iso import (
     Decision,
     Fingerprint,
-    InvariantMemo,
-    SearchOutcome,
     VerifyResult,
     brute_force_iso,
     certificate_from_json,
@@ -91,7 +89,6 @@ __all__ = [
     "parse_pattern",
     "format_pattern",
     "Fingerprint",
-    "SearchOutcome",
     "VerifyResult",
     "verify_iso",
     "power_map_iso",
@@ -101,7 +98,6 @@ __all__ = [
     "color_refinement",
     "brute_force_iso",
     "Decision",
-    "InvariantMemo",
     "decide_iso",
     "unit_orbit",
     "permute_digraph",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import product, repeat
 from operator import add, mod, mul
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import caps
 from .errors import CapExceeded, CompositeModulus, ZeroInverse
@@ -311,9 +311,6 @@ class FieldCtx:
             return pow(a, self.p - 2, self.p)
         exp, log, _ = self._tables
         return exp[-log[a]]  # exp has period q - 1, so index 2(q - 1) - log a
-
-    def units(self) -> Iterator[int]:
-        yield from range(1, self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.k == 1 else f"GF({self.p}^{self.k})"

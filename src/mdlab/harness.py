@@ -30,7 +30,6 @@ from .iso import (
     FOUND,
     NOT_ISOMORPHIC,
     POWER_MAP,
-    InvariantMemo,
     certificate_to_json,
     decide_iso,
     unit_orbit,
@@ -269,7 +268,6 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     keys = [(m, n) for m in range(1, q) for n in range(1, q)]
     digraphs = {key: build_digraph(ctx, *key) for key in keys}
     orbits = {key: unit_orbit(q, *key) for key in keys}
-    memo = InvariantMemo()
 
     records = []
     exhausted = 0
@@ -277,7 +275,7 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     for first, second in combinations(keys, 2):
         params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
         observed = {"m2": second[0], "n2": second[1]}
-        decision = decide_iso(digraphs[first], digraphs[second], budget, memo)
+        decision = decide_iso(digraphs[first], digraphs[second], budget)
         if orbits[first] == orbits[second]:
             observed["isomorphic"] = 1
             observed["decided"] = 1

@@ -7,16 +7,23 @@ index of vertex i. verify_iso is the single source of truth: every
 certificate produced here is re-validated through it before being
 returned.
 
-The search uses one-dimensional directed color refinement seeded with the
-loop flag (in- and out-degrees are useless here because every monomial
-digraph is q-regular both ways), then backtracks over color-compatible
-assignments with incremental arc consistency. The budget is counted in
-node expansions, not wall-clock, so runs are machine-independent.
+The search uses one-dimensional directed color refinement seeded with
+(loop flag, out-degree, in-degree); every monomial digraph is q-regular
+both ways, so in practice only the loop flag splits the seed. It then
+backtracks over color-compatible assignments with incremental arc
+consistency. The budget is counted in node expansions, not wall-clock, so
+runs are machine-independent.
+
+Each digraph's refinement colors, cheap invariants and fingerprint are
+computed at most once, on first use by decide_iso, fingerprint or
+brute_force_iso, and kept in a weak-keyed cache until the digraph itself
+is dropped.
 """
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,6 +58,16 @@ def _check_permutation(mapping, order: int) -> None:
         seen[t] = 1
 
 
+def _relabeled_row(D: MonomialDigraph, u: int, mapping) -> bytes:
+    """The bitset row of mapping[u] in the relabeled copy of D: the images
+    under mapping of the targets of u."""
+    row = bytearray(len(D.rows[0]))
+    for j in D.out_indices(u):
+        t = mapping[j]
+        row[t >> 3] |= 1 << (t & 7)
+    return bytes(row)
+
+
 def verify_iso(D1: MonomialDigraph, D2: MonomialDigraph, mapping) -> VerifyResult:
     """Exhaustively check that mapping preserves adjacency and
     non-adjacency; on failure reports the first violating source pair in
@@ -58,19 +75,25 @@ def verify_iso(D1: MonomialDigraph, D2: MonomialDigraph, mapping) -> VerifyResul
     if D1.order != D2.order:
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
     _check_permutation(mapping, D1.order)
-    nbytes = len(D2.rows[0])
     for u in range(D1.order):
-        permuted = bytearray(nbytes)
-        for j in D1.out_indices(u):
-            t = mapping[j]
-            permuted[t >> 3] |= 1 << (t & 7)
-        if bytes(permuted) != D2.rows[mapping[u]]:
+        if _relabeled_row(D1, u, mapping) != D2.rows[mapping[u]]:
             mu = mapping[u]
             for v in range(D1.order):
                 if D1.has_arc_index(u, v) != D2.has_arc_index(mu, mapping[v]):
                     return VerifyResult(False, (D1.vertex_at(u), D1.vertex_at(v)))
             raise AssertionError("row mismatch without a differing bit")
     return VerifyResult(True, None)
+
+
+def _product_map(D1: MonomialDigraph, D2: MonomialDigraph, f1, f2, name: str) -> Certificate:
+    """The certificate (x1, x2) -> (f1[x1], f2[x2]) from D1 to D2, checked
+    by verify_iso; raises VerificationFailed naming the map otherwise."""
+    q = D1.q
+    cert = tuple(y1 * q + y2 for y1 in f1 for y2 in f2)
+    result = verify_iso(D1, D2, cert)
+    if not result.ok:
+        raise VerificationFailed(f"{name} failed at {result.witness}")
+    return cert
 
 
 def power_map_iso(D1: MonomialDigraph, D2: MonomialDigraph, k: int) -> Certificate:
@@ -91,17 +114,8 @@ def power_map_iso(D1: MonomialDigraph, D2: MonomialDigraph, k: int) -> Certifica
         raise CongruenceFailed("k*m2 = m1", k * D2.m, D1.m, r)
     if (k * D2.n - D1.n) % r:
         raise CongruenceFailed("k*n2 = n1", k * D2.n, D1.n, r)
-    mapping = [0] * (q * q)
-    for x1 in range(q):
-        base = ctx.pow(x1, k) * q
-        row = x1 * q
-        for x2 in range(q):
-            mapping[row + x2] = base + x2
-    cert = tuple(mapping)
-    result = verify_iso(D1, D2, cert)
-    if not result.ok:
-        raise VerificationFailed(f"power map k={k} failed at {result.witness}")
-    return cert
+    return _product_map(D1, D2, [ctx.pow(x, k) for x in range(q)], range(q),
+                        f"power map k={k}")
 
 
 def find_power_map(D1: MonomialDigraph, D2: MonomialDigraph) -> tuple[int, Certificate] | None:
@@ -119,18 +133,8 @@ def frobenius_automorphism(D: MonomialDigraph) -> Certificate:
     """Self-isomorphism (x, y) -> (x^p, y^p); the identity on prime fields,
     a generator of the Galois action on extension fields."""
     ctx = D.ctx
-    q = ctx.q
-    mapping = [0] * (q * q)
-    for x1 in range(q):
-        base = ctx.pow(x1, ctx.p) * q
-        row = x1 * q
-        for x2 in range(q):
-            mapping[row + x2] = base + ctx.pow(x2, ctx.p)
-    cert = tuple(mapping)
-    result = verify_iso(D, D, cert)
-    if not result.ok:
-        raise VerificationFailed(f"Frobenius map failed at {result.witness}")
-    return cert
+    frob = [ctx.pow(x, ctx.p) for x in range(ctx.q)]
+    return _product_map(D, D, frob, frob, "Frobenius map")
 
 
 def unit_orbit(q: int, m: int, n: int) -> frozenset[tuple[int, int]]:
@@ -148,10 +152,6 @@ def unit_orbit(q: int, m: int, n: int) -> frozenset[tuple[int, int]]:
     return frozenset(
         (fold(k * m), fold(k * n)) for k in range(1, r + 1) if math.gcd(k, r) == 1
     )
-
-
-def orbit_representative(orbit: frozenset[tuple[int, int]]) -> tuple[int, int]:
-    return min(orbit)
 
 
 # --- color refinement and fingerprints ---
@@ -183,6 +183,20 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
         classes = len(ranks)
 
 
+# digraph -> {"colors" | "cheap" | "print": value}. No value may refer back
+# to its digraph, or the weak key would never die.
+_invariants: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cached(D: MonomialDigraph, name: str, compute):
+    """compute(D), computed on the first ask for D's invariant name and kept
+    with D."""
+    entry = _invariants.setdefault(D, {})
+    if name not in entry:
+        entry[name] = compute(D)
+    return entry[name]
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     """Isomorphism-invariant summary; equal fingerprints are necessary but
@@ -204,12 +218,14 @@ def cheap_invariants(D: MonomialDigraph) -> tuple[int, int, tuple[tuple[int, int
         1 for i, targets in enumerate(out_lists)
         for j in targets if j > i and D.has_arc_index(j, i)
     )
-    histogram = tuple(sorted(Counter(color_refinement(D)).items()))
+    histogram = tuple(sorted(Counter(_cached(D, "colors", color_refinement)).items()))
     return sum(loop_flags), two_cycles, histogram
 
 
 def fingerprint(D: MonomialDigraph) -> Fingerprint:
-    loop_count, two_cycles, histogram = cheap_invariants(D)
+    """D's full fingerprint. The pattern census runs on every call; the
+    cheap invariants come from D's cached ones."""
+    loop_count, two_cycles, histogram = _cached(D, "cheap", cheap_invariants)
     try:
         counts: tuple[int, ...] | None = tuple(
             count_pattern(D, pat).subdigraphs for pat in small_pattern_library()
@@ -219,26 +235,34 @@ def fingerprint(D: MonomialDigraph) -> Fingerprint:
     return Fingerprint(loop_count, two_cycles, counts, histogram)
 
 
-# --- budgeted brute-force search ---
+# --- decisions ---
 
 FOUND = "found"
 NOT_ISOMORPHIC = "not_isomorphic"
 EXHAUSTED = "exhausted"
 
+POWER_MAP = "power_map"
+INVARIANTS = "invariants"
+CENSUS = "census"
+SEARCH = "search"
 
-@dataclass(frozen=True)
-class SearchOutcome:
+
+class Decision(NamedTuple):
     status: str  # found | not_isomorphic | exhausted
+    stage: str  # power_map | invariants | census | search
     certificate: Certificate | None
     expansions: int
+    power_k: int | None = None  # the unit k of a power-map certificate
 
+
+# --- budgeted brute-force search ---
 
 class _BudgetExhausted(Exception):
     pass
 
 
 def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
-                    budget: int = caps.DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
+                    budget: int = caps.DEFAULT_SEARCH_BUDGET) -> Decision:
     """Search for an isomorphism D1 -> D2.
 
     Mismatched refinement histograms refute immediately. Otherwise source
@@ -250,10 +274,10 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
     if D1.order != D2.order:
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
     n = D1.order
-    colors1 = color_refinement(D1)
-    colors2 = color_refinement(D2)
+    colors1 = _cached(D1, "colors", color_refinement)
+    colors2 = _cached(D2, "colors", color_refinement)
     if Counter(colors1) != Counter(colors2):
-        return SearchOutcome(NOT_ISOMORPHIC, None, 0)
+        return Decision(NOT_ISOMORPHIC, SEARCH, None, 0)
 
     class_size = Counter(colors1)
     order = sorted(range(n), key=lambda v: (class_size[colors1[v]], v))
@@ -303,51 +327,16 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
             result = verify_iso(D1, D2, cert)
             if not result.ok:
                 raise VerificationFailed(f"search certificate failed at {result.witness}")
-            return SearchOutcome(FOUND, cert, expansions)
-        return SearchOutcome(NOT_ISOMORPHIC, None, expansions)
+            return Decision(FOUND, SEARCH, cert, expansions)
+        return Decision(NOT_ISOMORPHIC, SEARCH, None, expansions)
     except _BudgetExhausted:
-        return SearchOutcome(EXHAUSTED, None, expansions)
+        return Decision(EXHAUSTED, SEARCH, None, expansions)
 
 
 # --- staged decision ---
 
-POWER_MAP = "power_map"
-INVARIANTS = "invariants"
-CENSUS = "census"
-SEARCH = "search"
-
-
-class Decision(NamedTuple):
-    status: str  # found | not_isomorphic | exhausted
-    stage: str  # power_map | invariants | census | search
-    certificate: Certificate | None
-    expansions: int
-    power_k: int | None = None  # the unit k of a power-map certificate
-
-
-class InvariantMemo:
-    """Per-digraph invariants computed by decide_iso. Pass one memo to
-    every decide_iso call of a scan, so that each digraph's invariants and
-    pattern census are computed at most once however many pairs it is in."""
-
-    def __init__(self):
-        self._cheap: dict[MonomialDigraph, tuple] = {}
-        self._prints: dict[MonomialDigraph, Fingerprint] = {}
-
-    def cheap(self, D: MonomialDigraph) -> tuple:
-        if D not in self._cheap:
-            self._cheap[D] = cheap_invariants(D)
-        return self._cheap[D]
-
-    def fingerprint(self, D: MonomialDigraph) -> Fingerprint:
-        if D not in self._prints:
-            self._prints[D] = fingerprint(D)
-        return self._prints[D]
-
-
 def decide_iso(D1: MonomialDigraph, D2: MonomialDigraph,
-               budget: int = caps.DEFAULT_SEARCH_BUDGET,
-               memo: InvariantMemo | None = None) -> Decision:
+               budget: int = caps.DEFAULT_SEARCH_BUDGET) -> Decision:
     """Decide D1 ~ D2 by the cheapest evidence that settles it (staged
     refinement before search, as in McKay & Piperno, Practical graph
     isomorphism II, 2014):
@@ -359,20 +348,18 @@ def decide_iso(D1: MonomialDigraph, D2: MonomialDigraph,
     4. budgeted brute-force search.
 
     Stage 3 compares whole fingerprints, so a pair is refuted before
-    search exactly when its fingerprints differ.
+    search exactly when its fingerprints differ. Each digraph's invariants
+    and census are computed at most once however many pairs it is in.
     """
     power = find_power_map(D1, D2)
     if power is not None:
         k, cert = power
         return Decision(FOUND, POWER_MAP, cert, 0, k)
-    if memo is None:
-        memo = InvariantMemo()
-    if memo.cheap(D1) != memo.cheap(D2):
+    if _cached(D1, "cheap", cheap_invariants) != _cached(D2, "cheap", cheap_invariants):
         return Decision(NOT_ISOMORPHIC, INVARIANTS, None, 0)
-    if memo.fingerprint(D1) != memo.fingerprint(D2):
+    if _cached(D1, "print", fingerprint) != _cached(D2, "print", fingerprint):
         return Decision(NOT_ISOMORPHIC, CENSUS, None, 0)
-    outcome = brute_force_iso(D1, D2, budget)
-    return Decision(outcome.status, SEARCH, outcome.certificate, outcome.expansions)
+    return brute_force_iso(D1, D2, budget)
 
 
 # --- helpers shared with tests and the harness ---
@@ -381,14 +368,10 @@ def permute_digraph(D: MonomialDigraph, mapping) -> MonomialDigraph:
     """Relabeled copy of D (arc (u,v) becomes (mapping[u], mapping[v]));
     parameter metadata is carried over verbatim."""
     _check_permutation(mapping, D.order)
-    nbytes = len(D.rows[0])
-    rows = [bytearray(nbytes) for _ in range(D.order)]
+    rows = [b""] * D.order
     for u in range(D.order):
-        row = rows[mapping[u]]
-        for v in D.out_indices(u):
-            t = mapping[v]
-            row[t >> 3] |= 1 << (t & 7)
-    return MonomialDigraph(D.ctx, D.m, D.n, tuple(bytes(r) for r in rows))
+        rows[mapping[u]] = _relabeled_row(D, u, mapping)
+    return MonomialDigraph(D.ctx, D.m, D.n, tuple(rows))
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -397,7 +380,8 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def certificate_from_json(text: str, order: int) -> Certificate:
     data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    # type(x) is int: a JSON true or false loads as a bool, an int subclass
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise ValueError("certificate JSON must be an array of ints")
     cert = tuple(data)
     _check_permutation(cert, order)

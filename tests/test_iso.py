@@ -3,8 +3,12 @@ oracle for the search; certificates are double-checked by scanning all
 vertex pairs directly."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
+from collections import Counter
 from itertools import combinations
+from math import gcd
 
 import networkx as nx
 import pytest
@@ -22,7 +26,6 @@ from mdlab.iso import (
     NOT_ISOMORPHIC,
     POWER_MAP,
     SEARCH,
-    InvariantMemo,
     brute_force_iso,
     certificate_from_json,
     certificate_to_json,
@@ -111,6 +114,18 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_iso(D, D, (0,) * 9)
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (7, 1)])
+    def test_permute_digraph_relabels_every_arc(self, p, k):
+        ctx = extension_field(p, k)
+        D = build_digraph(ctx, 1, 2)
+        rng = random.Random(p * 10 + k)
+        for _ in range(3):
+            perm = list(range(D.order))
+            rng.shuffle(perm)
+            P = permute_digraph(D, perm)
+            assert set(P.arcs()) == {(perm[u], perm[v]) for u, v in D.arcs()}
+            assert verify_iso(D, P, perm).ok
+
 
 class TestPowerMap:
     def test_proof_mapping(self):
@@ -155,6 +170,38 @@ class TestPowerMap:
     def test_frobenius_identity_on_prime_field(self):
         D = build_digraph(prime_field(7), 1, 2)
         assert frobenius_automorphism(D) == tuple(range(D.order))
+
+    @staticmethod
+    def powers(ctx, e):
+        """x^e for every code x, by repeated multiplication."""
+        out = []
+        for x in range(ctx.q):
+            y = 1
+            for _ in range(e):
+                y = ctx.mul(y, x)
+            out.append(y)
+        return out
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (11, 1)])
+    def test_power_map_is_the_explicit_formula(self, p, k):
+        ctx = extension_field(p, k)
+        q = ctx.q
+        r = q - 1
+        for e in (e for e in range(1, r + 1) if gcd(e, r) == 1):
+            xe = self.powers(ctx, e)
+            for m2, n2 in ((1, 2), (2, r)):
+                D1 = build_digraph(ctx, e * m2, e * n2)
+                D2 = build_digraph(ctx, m2, n2)
+                assert power_map_iso(D1, D2, e) == tuple(
+                    xe[x1] * q + x2 for x1 in range(q) for x2 in range(q))
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (11, 1)])
+    def test_frobenius_is_the_explicit_formula(self, p, k):
+        ctx = extension_field(p, k)
+        q = ctx.q
+        xp = self.powers(ctx, p)
+        assert frobenius_automorphism(build_digraph(ctx, 1, 2)) == tuple(
+            xp[x1] * q + xp[x2] for x1 in range(q) for x2 in range(q))
 
 
 class TestFingerprint:
@@ -253,9 +300,8 @@ class TestDecideIso:
         q = ctx.q
         digs = {(m, n): build_digraph(ctx, m, n) for m in range(1, q) for n in range(1, q)}
         prints = {key: fingerprint(D) for key, D in digs.items()}
-        memo = InvariantMemo()
         for a, b in combinations(sorted(digs), 2):
-            decision = decide_iso(digs[a], digs[b], memo=memo)
+            decision = decide_iso(digs[a], digs[b])
             if unit_orbit(q, *a) == unit_orbit(q, *b):
                 assert (decision.status, decision.stage) == (FOUND, POWER_MAP)
                 k_ref, cert_ref = find_power_map(digs[a], digs[b])
@@ -291,11 +337,41 @@ class TestDecideIso:
         # (3,1) and (3,2) share an orbit
         ctx = extension_field(2, 2)
         digs = [build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 1), build_digraph(ctx, 3, 2)]
-        memo = InvariantMemo()
-        stages = [decide_iso(a, b, memo=memo).stage for a, b in combinations(digs, 2)]
+        stages = [decide_iso(a, b).stage for a, b in combinations(digs, 2)]
         assert stages == [SEARCH, SEARCH, POWER_MAP]
         assert len(census_calls) == 3
         assert {id(D) for D in census_calls} == {id(D) for D in digs}
+
+    def test_refinement_once_per_digraph(self, monkeypatch):
+        # a conjecture scan, then a search on one of its tied pairs: every
+        # stage reads each digraph's one refinement
+        import mdlab.harness as harness
+        import mdlab.iso as iso
+        built, refined = [], []
+        real_build, real_refine = harness.build_digraph, iso.color_refinement
+        monkeypatch.setattr(harness, "build_digraph",
+                            lambda *args: built.append(real_build(*args)) or built[-1])
+        monkeypatch.setattr(iso, "color_refinement",
+                            lambda D: refined.append(id(D)) or real_refine(D))
+        for ctx in (extension_field(2, 2), prime_field(5)):
+            harness.run_conjecture_scan(ctx)
+        gf4 = {(D.m, D.n): D for D in built[:9]}
+        assert decide_iso(gf4[1, 3], gf4[3, 1]).stage == SEARCH
+        assert brute_force_iso(gf4[1, 3], gf4[3, 1]).status == NOT_ISOMORPHIC
+        assert len(built) == 9 + 16
+        counts = Counter(refined)
+        assert set(counts) <= {id(D) for D in built}
+        assert {id(gf4[1, 3]), id(gf4[3, 1])} <= set(counts)
+        assert max(counts.values()) == 1
+
+    def test_cached_digraph_is_collected(self):
+        ctx = extension_field(2, 2)
+        D1, D2 = build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 1)
+        assert decide_iso(D1, D2).stage == SEARCH
+        ref = weakref.ref(D1)
+        del D1
+        gc.collect()
+        assert ref() is None
 
     def test_budget_exhaustion(self):
         ctx = extension_field(2, 2)
@@ -372,6 +448,8 @@ class TestCertificateJson:
             certificate_from_json("[0,0,1]", 3)
         with pytest.raises(ValueError):
             certificate_from_json('{"a":1}', 3)
+        with pytest.raises(ValueError):  # JSON true and false load as bools, an int subclass
+            certificate_from_json("[true,false,2,3]", 4)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
