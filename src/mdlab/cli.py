@@ -53,6 +53,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit(report, args) -> None:
     """Report to stdout, or to --out through a temp file in the same
     directory that replaces the target only once it is complete."""
@@ -251,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_field_args(sp)
     sp.add_argument("--d1", type=_parse_pair, required=True, metavar="M1,N1")
     sp.add_argument("--d2", type=_parse_pair, required=True, metavar="M2,N2")
-    sp.add_argument("--budget", type=int, default=caps.DEFAULT_SEARCH_BUDGET)
+    sp.add_argument("--budget", type=_positive_int, default=caps.DEFAULT_SEARCH_BUDGET)
     sp.set_defaults(func=_cmd_iso)
 
     sp = sub.add_parser("theorem", help="scan reciprocal-exponent root counts")
@@ -269,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjecture", help="scan unit-orbit isomorphism consistency")
     add_field_args(sp)
-    sp.add_argument("--budget", type=int, default=caps.DEFAULT_SEARCH_BUDGET)
+    sp.add_argument("--budget", type=_positive_int, default=caps.DEFAULT_SEARCH_BUDGET)
     add_report_args(sp)
     sp.set_defaults(func=_cmd_conjecture)
 

@@ -21,6 +21,11 @@ each process builds them at most once per field. The build is O(q) in
 C-level array passes plus one Python loop of q steps; at the largest
 enumerable fields (q close to 2^20) it takes under two seconds and keeps
 16 MB (4-byte entries: ``exp`` 2(q - 1), ``log`` q, ``zech`` q - 1).
+
+This module has no polynomial arithmetic of its own. The modulus search
+(Ben-Or's irreducibility test: gcd(f, X^(p^i) - X) = 1 for i <= k/2), the
+primitive-element order test and the columns of the multiplication map
+all run on ``poly``'s prime-field kernels over GF(p).
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from itertools import product, repeat
 from operator import add, mod, mul
 from typing import NamedTuple
 
-from . import caps
+from . import caps, poly
 from .errors import CapExceeded, CompositeModulus, ZeroInverse
 
 Coeffs = tuple[int, ...]
@@ -60,80 +65,40 @@ def _check_prime(p: int) -> None:
         raise CompositeModulus(p, factor)
 
 
-# --- GF(p)[t] helpers on raw coefficient tuples (ascending, trimmed) ---
+# --- the canonical modulus and the tables, on poly's GF(p)[t] kernels ---
 
-def _mod_poly(a: Coeffs, m: Coeffs, p: int) -> Coeffs:
-    """Remainder of a modulo m over GF(p); m must be nonzero."""
-    r = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(r) - 1 >= dm and r:
-        c = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - dm
-        if c:
-            for i, mc in enumerate(m):
-                r[shift + i] = (r[shift + i] - c * mc) % p
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
-
-
-def _is_irreducible(f: Coeffs, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = (*tail, 1)
-            if not _mod_poly(f, divisor, p):
-                return False
+def _is_irreducible(gf: FieldCtx, f: Coeffs) -> bool:
+    """Ben-Or's test (Probabilistic algorithms in finite fields, FOCS 1981):
+    a monic f of degree k over GF(p) is irreducible iff gcd(f, X^(p^i) - X)
+    = 1 for every 1 <= i <= k/2."""
+    xp = poly.X
+    for _ in range((len(f) - 1) // 2):
+        xp = poly.poly_powmod(gf, xp, gf.p, f)  # X^(p^i) mod f
+        if poly.poly_gcd(gf, f, poly.sub(gf, xp, poly.X)) != poly.ONE:
+            return False
     return True
 
 
 def _smallest_irreducible(p: int, k: int) -> Coeffs:
     """Lexicographically smallest monic irreducible of degree k over GF(p)."""
-    for tail in product(range(p), repeat=k):
+    gf = prime_field(p)
+    # the lex order starts with the p^(k-1) candidates of constant term 0,
+    # all divisible by t; starting the constant term at 1 skips them
+    for tail in product(range(1, p), *[range(p)] * (k - 1)):
         candidate = (*tail, 1)
-        if _is_irreducible(candidate, p):
+        if _is_irreducible(gf, candidate):
             return candidate
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
-# --- digit vectors of GF(p^k) elements; used only to build the tables ---
-
-def _digits(code: int, p: int, k: int) -> list[int]:
+def _digits(code: int, p: int) -> Coeffs:
+    """The base-p digits of an element code: its GF(p)[t] coefficient
+    tuple, ascending and trimmed."""
     d = []
-    for _ in range(k):
+    while code:
         code, r = divmod(code, p)
         d.append(r)
-    return d
-
-
-def _schoolbook_mul(da: list[int], db: list[int], modulus: Coeffs, p: int) -> list[int]:
-    """Product of two digit vectors modulo the monic modulus."""
-    k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(da):
-        if x:
-            for j, y in enumerate(db):
-                prod[i + j] += x * y
-    for i in range(2 * k - 2, k - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(k):
-                prod[i - k + j] -= c * modulus[j]
-        prod[i] = 0
-    return [c % p for c in prod[:k]]
-
-
-def _schoolbook_pow(da: list[int], e: int, modulus: Coeffs, p: int) -> list[int]:
-    result, base = _digits(1, p, len(da)), da
-    while e:
-        if e & 1:
-            result = _schoolbook_mul(result, base, modulus, p)
-        base = _schoolbook_mul(base, base, modulus, p)
-        e >>= 1
-    return result
+    return tuple(d)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -146,28 +111,32 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _primitive_element(p: int, k: int, modulus: Coeffs) -> int:
+def _primitive_element(gf: FieldCtx, k: int, modulus: Coeffs) -> int:
     """Smallest code of order q - 1: g^((q-1)/r) != 1 for every prime r | q - 1."""
+    p = gf.p
     q = p**k
-    one = _digits(1, p, k)
     cofactors = [(q - 1) // r for r in _prime_divisors(q - 1)]
     for g in range(p, q):  # codes below p lie in GF(p), of order < q - 1
-        dg = _digits(g, p, k)
-        if all(_schoolbook_pow(dg, e, modulus, p) != one for e in cofactors):
+        dg = _digits(g, p)
+        if all(poly.poly_powmod(gf, dg, e, modulus) != poly.ONE for e in cofactors):
             return g
     raise AssertionError(f"GF({p}^{k}) has no primitive element")
 
 
-def _multiplication_map(p: int, k: int, modulus: Coeffs, g: int) -> array:
+def _multiplication_map(gf: FieldCtx, k: int, modulus: Coeffs, g: int) -> array:
     """times_g[c] = code of g * c, for every code c at once.
 
     Multiplication by g is GF(p)-linear on digit vectors: digit i of g * c is
     sum_j M[i][j] * digit_j(c) mod p, with column j of M the digits of
     g * t^j. The sums run as C-level maps over per-digit arrays.
     """
+    p = gf.p
     q = p**k
-    dg = _digits(g, p, k)
-    columns = [_schoolbook_mul(dg, _digits(p**j, p, k), modulus, p) for j in range(k)]
+    dg = _digits(g, p)
+    columns = []
+    for j in range(k):
+        col = poly.poly_mod(gf, poly.mul(gf, dg, _digits(p**j, p)), modulus)
+        columns.append(col + (0,) * (k - len(col)))
     digit_arrays = []
     for j in range(k):  # digit_j(c) = c // p^j % p: runs of p^j, cycling
         block = array("i")
@@ -201,8 +170,9 @@ class _ZechTables(NamedTuple):
 def _zech_tables(p: int, k: int, modulus: Coeffs) -> _ZechTables:
     q = p**k
     n = q - 1
-    g = _primitive_element(p, k, modulus)
-    times_g = _multiplication_map(p, k, modulus, g)
+    gf = prime_field(p)
+    g = _primitive_element(gf, k, modulus)
+    times_g = _multiplication_map(gf, k, modulus, g)
     exp = array("i", [0]) * (2 * n)
     log = array("i", [-1]) * q
     x = 1

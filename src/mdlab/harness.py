@@ -235,12 +235,16 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]],
     """Prime-power generalization: for each field, every reciprocal pair
     (m, n) mod (q-1) and every (a, b), the trinomials X^(m+1) + aX + b and
     X^(n+1) + aX + b^m must have equal distinct-root counts."""
-    # every field within the cap before any work; a degree out of range is
-    # left to extension_field below, and bounds p**k here
+    # every field within the cap and given once before any work; a degree
+    # out of range is left to extension_field below, and bounds p**k here
+    seen = set()
     for p, k in fields:
         if 1 <= k <= caps.MAX_EXTENSION_DEGREE and p**k > caps.MAX_EXERCISE_ORDER:
             raise CapExceeded(f"exercise scan over GF({p}^{k}) exceeds cap "
                               f"q <= {caps.MAX_EXERCISE_ORDER}")
+        if (p, k) in seen:
+            raise ValueError(f"exercise field GF({p}^{k}) given more than once")
+        seen.add((p, k))
     items = []
     for p, k in fields:
         ctx = extension_field(p, k)  # validates p, k, and the field caps

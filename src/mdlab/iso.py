@@ -257,10 +257,6 @@ class Decision(NamedTuple):
 
 # --- budgeted brute-force search ---
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
                     budget: int = caps.DEFAULT_SEARCH_BUDGET) -> Decision:
     """Search for an isomorphism D1 -> D2.
@@ -269,7 +265,9 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
     vertices are processed rarest color class first (ties by index) and
     every candidate image must be arc-consistent with all previously
     placed vertices, in both directions. Each candidate trial costs one
-    expansion against the budget.
+    expansion against the budget. The backtracking runs on an explicit
+    stack (one resume position per depth), so its depth is not bounded by
+    the interpreter's recursion limit.
     """
     if D1.order != D2.order:
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
@@ -289,20 +287,20 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
     loops2 = D2.view.loop_flags
     mapping = [-1] * n
     used = bytearray(n)
-    placed: list[int] = []
+    placed: list[int] = []  # order[:depth]
+    resume = [0] * n  # per depth: index of the next candidate to try
     expansions = 0
-
-    def extend(depth: int) -> bool:
-        nonlocal expansions
-        if depth == n:
-            return True
+    depth = 0
+    while depth < n:
         v = order[depth]
-        for c in targets_by_color[colors1[v]]:
+        candidates = targets_by_color[colors1[v]]
+        for i in range(resume[depth], len(candidates)):
+            c = candidates[i]
             if used[c]:
                 continue
             expansions += 1
             if expansions > budget:
-                raise _BudgetExhausted
+                return Decision(EXHAUSTED, SEARCH, None, expansions)
             ok = True
             for u in placed:
                 mu = mapping[u]
@@ -311,26 +309,26 @@ def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
                     ok = False
                     break
             if ok and loops1[v] == loops2[c]:
+                resume[depth] = i + 1
                 mapping[v] = c
                 used[c] = 1
                 placed.append(v)
-                if extend(depth + 1):
-                    return True
-                placed.pop()
-                used[c] = 0
-                mapping[v] = -1
-        return False
+                depth += 1
+                break
+        else:  # no candidate left for v: undo the vertex placed before it
+            if depth == 0:
+                return Decision(NOT_ISOMORPHIC, SEARCH, None, expansions)
+            resume[depth] = 0
+            depth -= 1
+            u = placed.pop()
+            used[mapping[u]] = 0
+            mapping[u] = -1
 
-    try:
-        if extend(0):
-            cert = tuple(mapping)
-            result = verify_iso(D1, D2, cert)
-            if not result.ok:
-                raise VerificationFailed(f"search certificate failed at {result.witness}")
-            return Decision(FOUND, SEARCH, cert, expansions)
-        return Decision(NOT_ISOMORPHIC, SEARCH, None, expansions)
-    except _BudgetExhausted:
-        return Decision(EXHAUSTED, SEARCH, None, expansions)
+    cert = tuple(mapping)
+    result = verify_iso(D1, D2, cert)
+    if not result.ok:
+        raise VerificationFailed(f"search certificate failed at {result.witness}")
+    return Decision(FOUND, SEARCH, cert, expansions)
 
 
 # --- staged decision ---

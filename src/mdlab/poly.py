@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from . import caps
 from .errors import (
@@ -42,7 +43,9 @@ from .errors import (
     ZeroModulus,
     ZeroPolynomial,
 )
-from .field import FieldCtx
+
+if TYPE_CHECKING:  # field builds GF(p^k) on the kernels below
+    from .field import FieldCtx
 
 Poly = tuple[int, ...]
 

@@ -198,6 +198,14 @@ class TestScans:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("fields", ["4,4", "2^2,4", "4,5,2^2"])
+    def test_exercise_repeated_field_exits_2(self, capsys, fields):
+        # each of GF(4)'s records would otherwise be emitted twice
+        code, out, err = run(capsys, "exercise", "--fields", fields)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "GF(2^2)" in err
+
     @pytest.mark.parametrize("fields", ["1009", "10000019", "8,1009", "2^6",
                                         "1000000000000000003",
                                         "1000000000000000000"])
@@ -234,6 +242,22 @@ class TestScans:
         summary = [json.loads(line) for line in out.splitlines()
                    if json.loads(line)["check"] == "conjecture"]
         assert summary[0]["observed"]["class_count"] == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("iso", "--p", "2", "--k", "2", "--d1", "1,3", "--d2", "3,2"),
+        ("conjecture", "--p", "2", "--k", "2"),
+    ])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_exits_2(self, capsys, monkeypatch, argv, budget):
+        def no_build(*args):
+            raise AssertionError("a digraph was built")
+
+        monkeypatch.setattr(mdlab.cli, "build_digraph", no_build)
+        monkeypatch.setattr(mdlab.harness, "build_digraph", no_build)
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert f"argument --budget: must be >= 1, got {budget}" in err
 
     def test_conjecture_budget_exhaustion_exit(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--p", "2", "--k", "2",

@@ -252,6 +252,9 @@ def prime_divisors(n: int) -> list[int]:
 
 SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= 81]
 LARGE_EXTENSIONS = [(7, 6), (5, 4), (13, 3), (127, 2)]
+# The modulus and the primitive element are fixed by their definitions, so
+# a change in how either is searched for must leave both where they are.
+CANONICAL_FIELDS = SMALL_EXTENSIONS + LARGE_EXTENSIONS + [(31, 4), (1021, 2)]
 
 
 class TestZechTables:
@@ -304,11 +307,33 @@ class TestZechTables:
         if a:
             assert ctx.inv(a) == oracle_pow(ctx, a, ctx.q - 2)
 
-    @pytest.mark.parametrize("p,k", SMALL_EXTENSIONS + LARGE_EXTENSIONS)
+    @pytest.mark.parametrize("p,k", CANONICAL_FIELDS)
     def test_canonical_modulus_is_irreducible(self, p, k):
         modulus = extension_field(p, k).modulus
         assert gf_irreducible_p([ZZ(c) for c in reversed(modulus)], p, ZZ)
         assert len(modulus) == k + 1 and modulus[-1] == 1
+        # and the lex-smallest one: candidates in lex order, coefficients
+        # compared from the constant term up, are reducible before it. Those
+        # of constant term 0 are divisible by t; sympy checks the others.
+        for tail in product(range(p), repeat=k):
+            candidate = (*tail, 1)
+            if candidate == modulus:
+                break
+            assert candidate[0] == 0 or not gf_irreducible_p(
+                [ZZ(c) for c in reversed(candidate)], p, ZZ), candidate
+
+    @pytest.mark.parametrize("p,k", CANONICAL_FIELDS)
+    def test_primitive_element_is_smallest(self, p, k):
+        ctx = extension_field(p, k)
+        n = ctx.q - 1
+        cofactors = [n // r for r in prime_divisors(n)]
+
+        def has_order_n(x: int) -> bool:
+            return all(oracle_pow(ctx, x, e) != 1 for e in cofactors)
+
+        g = ctx._tables.exp[1]
+        assert has_order_n(g)
+        assert not any(has_order_n(x) for x in range(1, g))
 
     def test_tables_built_lazily_and_once(self, monkeypatch):
         extension_field.cache_clear()

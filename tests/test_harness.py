@@ -132,6 +132,15 @@ class TestExerciseScan:
         qs = [r.params["q"] for r in report.records]
         assert qs == sorted(qs)
 
+    @pytest.mark.parametrize("fields", [[(2, 2), (2, 2)], [(2, 2), (3, 2), (2, 2)]])
+    def test_repeated_field_rejected_before_work(self, monkeypatch, fields):
+        def no_work(*args):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(mdlab.harness, "extension_field", no_work)
+        with pytest.raises(ValueError, match=r"GF\(2\^2\) given more than once"):
+            run_exercise_scan(fields)
+
     def test_odd_specialization_matches_theorem(self):
         # a = -2, b = 1 rows restate the prime-field theorem records
         report = run_exercise_scan([(5, 1)])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -284,6 +285,18 @@ class TestBruteForce:
             ours = brute_force_iso(digs[a], digs[b])
             assert ours.status in (FOUND, NOT_ISOMORPHIC)
             assert (ours.status == FOUND) == nx_isomorphic(digs[a], digs[b])
+
+    def test_search_deeper_than_recursion_limit(self):
+        # a same-orbit pair over GF(32) whose search places all 1024
+        # vertices, one more level than the interpreter's recursion limit
+        ctx = extension_field(2, 5)
+        assert unit_orbit(32, 3, 5) == unit_orbit(32, 1, 12)
+        D1, D2 = build_digraph(ctx, 3, 5), build_digraph(ctx, 1, 12)
+        assert D1.order > sys.getrecursionlimit()
+        out = brute_force_iso(D1, D2, 200_000)
+        assert (out.status, out.stage) == (FOUND, SEARCH)
+        assert out.expansions == 198_656
+        assert verify_iso(D1, D2, out.certificate).ok
 
     def test_power_map_success_implies_searchable(self):
         ctx = prime_field(7)
