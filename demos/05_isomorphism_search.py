@@ -3,8 +3,11 @@
 
 Three tools, cheapest first: explicit power-map certificates when the
 exponent pairs sit in the same unit orbit; invariant fingerprints to
-refute quickly; and budgeted backtracking search to settle the rest.
-decide_iso stages them in that order.
+refute quickly; and budgeted individualization-refinement search to
+settle the rest. The search individualizes one vertex in each digraph
+with the same fresh color and refines both jointly on the kernel that
+computes the fingerprints' refinement colors, so an expansion is one
+joint refinement. decide_iso stages them in that order.
 """
 from collections import Counter
 from itertools import combinations

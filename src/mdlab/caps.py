@@ -26,7 +26,7 @@ MAX_THEOREM_PMAX = 700            # largest p_max of the theorem scan
 
 # Isomorphism search
 MAX_CONJECTURE_ORDER = 7          # q cap for the exhaustive conjecture scan
-DEFAULT_SEARCH_BUDGET = 10**8     # backtracking node expansions
+DEFAULT_SEARCH_BUDGET = 10_000    # individualization-refinement expansions
 
 
 def as_dict() -> dict[str, int]:

@@ -1,18 +1,21 @@
 """Digraph isomorphism: explicit power-map certificates, invariant
-fingerprints for cheap refutation, budgeted brute-force search, and
-decide_iso, which stages them cheapest first.
+fingerprints for cheap refutation, budgeted individualization-refinement
+search, and decide_iso, which stages them cheapest first.
 
 A certificate is a tuple of length q^2 whose position i holds the image
 index of vertex i. verify_iso is the single source of truth: every
 certificate produced here is re-validated through it before being
 returned.
 
-The search uses one-dimensional directed color refinement seeded with
-(loop flag, out-degree, in-degree); every monomial digraph is q-regular
-both ways, so in practice only the loop flag splits the seed. It then
-backtracks over color-compatible assignments with incremental arc
-consistency. The budget is counted in node expansions, not wall-clock, so
-runs are machine-independent.
+One refinement kernel serves both the invariants and the search:
+directed color refinement, run on one digraph or on several jointly with
+one shared color naming. Seeded with (loop flag, out-degree,
+in-degree) it gives each digraph's stable colors; every monomial digraph
+is q-regular both ways, so in practice only the loop flag splits the
+seed. The search individualizes one vertex in each digraph with the same
+fresh color and refines both jointly, pruning a branch as soon as their
+signatures differ. The budget is counted in these expansions, not
+wall-clock, so runs are machine-independent.
 
 Each digraph's refinement colors, cheap invariants and fingerprint are
 computed at most once, on first use by decide_iso, fingerprint or
@@ -156,31 +159,47 @@ def unit_orbit(q: int, m: int, n: int) -> frozenset[tuple[int, int]]:
 
 # --- color refinement and fingerprints ---
 
+def _refine(digraphs, colorings):
+    """Jointly refine colorings[i] of digraphs[i] to stability by
+    1-dimensional directed refinement, or None as soon as two digraphs'
+    signature multisets differ.
+
+    Each round a vertex's signature is (color, out-neighbor color counts,
+    in-neighbor color counts), and its new color is the rank of that
+    signature among the first digraph's, so a color id means the same in
+    every digraph."""
+    classes = len(set(colorings[0]))
+    while True:
+        sigs = []
+        for D, colors in zip(digraphs, colorings):
+            out_lists, in_lists, _ = D.view
+            sigs.append([
+                (
+                    colors[v],
+                    tuple(sorted(Counter(colors[w] for w in out_lists[v]).items())),
+                    tuple(sorted(Counter(colors[w] for w in in_lists[v]).items())),
+                )
+                for v in range(D.order)
+            ])
+        first = Counter(sigs[0])
+        if any(Counter(other) != first for other in sigs[1:]):
+            return None
+        ranks = {s: c for c, s in enumerate(sorted(first))}
+        colorings = [[ranks[s] for s in vertex_sigs] for vertex_sigs in sigs]
+        if len(ranks) == classes:  # refinement only ever splits classes
+            return colorings
+        classes = len(ranks)
+
+
 def color_refinement(D: MonomialDigraph) -> list[int]:
     """Stable colors of 1-dimensional directed refinement seeded with
     (loop?, out-degree, in-degree). Color ids are assigned in sorted
     signature order each round, so isomorphic digraphs get identical
     color multisets."""
-    n = D.order
     out_lists, in_lists, loop_flags = D.view
-    seeds = [(loop_flags[i], len(out_lists[i]), len(in_lists[i])) for i in range(n)]
+    seeds = [(loop_flags[i], len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
     ranks = {s: c for c, s in enumerate(sorted(set(seeds)))}
-    colors = [ranks[s] for s in seeds]
-    classes = len(ranks)
-    while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(Counter(colors[w] for w in out_lists[v]).items())),
-                tuple(sorted(Counter(colors[w] for w in in_lists[v]).items())),
-            )
-            for v in range(n)
-        ]
-        ranks = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        colors = [ranks[sigs[v]] for v in range(n)]
-        if len(ranks) == classes:  # refinement only ever splits classes
-            return colors
-        classes = len(ranks)
+    return _refine((D,), ([ranks[s] for s in seeds],))[0]
 
 
 # digraph -> {"colors" | "cheap" | "print": value}. No value may refer back
@@ -255,80 +274,59 @@ class Decision(NamedTuple):
     power_k: int | None = None  # the unit k of a power-map certificate
 
 
-# --- budgeted brute-force search ---
+# --- budgeted individualization-refinement search ---
 
 def brute_force_iso(D1: MonomialDigraph, D2: MonomialDigraph,
                     budget: int = caps.DEFAULT_SEARCH_BUDGET) -> Decision:
-    """Search for an isomorphism D1 -> D2.
+    """Search for an isomorphism D1 -> D2 by individualization-refinement
+    (McKay & Piperno, Practical graph isomorphism II, 2014).
 
-    Mismatched refinement histograms refute immediately. Otherwise source
-    vertices are processed rarest color class first (ties by index) and
-    every candidate image must be arc-consistent with all previously
-    placed vertices, in both directions. Each candidate trial costs one
-    expansion against the budget. The backtracking runs on an explicit
-    stack (one resume position per depth), so its depth is not bounded by
-    the interpreter's recursion limit.
+    Both digraphs start from their stable refinement colors, refined
+    jointly; a refinement that fails refutes the pair at once. Each
+    expansion takes the first vertex of D1's smallest non-singleton class
+    (ties by color id), gives it and one same-colored candidate of D2 a
+    fresh color, and refines jointly again; a failed refinement prunes the
+    branch. A discrete coloring pairs the vertices by color, and that
+    certificate must pass verify_iso. Expansions count against the budget.
+    The search runs on an explicit stack, one frame (colorings, cell
+    vertex, remaining candidates) per depth, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     if D1.order != D2.order:
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
-    n = D1.order
-    colors1 = _cached(D1, "colors", color_refinement)
-    colors2 = _cached(D2, "colors", color_refinement)
-    if Counter(colors1) != Counter(colors2):
-        return Decision(NOT_ISOMORPHIC, SEARCH, None, 0)
-
-    class_size = Counter(colors1)
-    order = sorted(range(n), key=lambda v: (class_size[colors1[v]], v))
-    targets_by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        targets_by_color.setdefault(colors2[v], []).append(v)
-
-    loops1 = D1.view.loop_flags
-    loops2 = D2.view.loop_flags
-    mapping = [-1] * n
-    used = bytearray(n)
-    placed: list[int] = []  # order[:depth]
-    resume = [0] * n  # per depth: index of the next candidate to try
+    n = D1.order  # above every color id, so it serves as the fresh color
+    digraphs = (D1, D2)
+    colorings = _refine(digraphs, (_cached(D1, "colors", color_refinement),
+                                   _cached(D2, "colors", color_refinement)))
+    stack = []
     expansions = 0
-    depth = 0
-    while depth < n:
-        v = order[depth]
-        candidates = targets_by_color[colors1[v]]
-        for i in range(resume[depth], len(candidates)):
-            c = candidates[i]
-            if used[c]:
-                continue
-            expansions += 1
-            if expansions > budget:
-                return Decision(EXHAUSTED, SEARCH, None, expansions)
-            ok = True
-            for u in placed:
-                mu = mapping[u]
-                if (D1.has_arc_index(u, v) != D2.has_arc_index(mu, c)
-                        or D1.has_arc_index(v, u) != D2.has_arc_index(c, mu)):
-                    ok = False
-                    break
-            if ok and loops1[v] == loops2[c]:
-                resume[depth] = i + 1
-                mapping[v] = c
-                used[c] = 1
-                placed.append(v)
-                depth += 1
-                break
-        else:  # no candidate left for v: undo the vertex placed before it
-            if depth == 0:
-                return Decision(NOT_ISOMORPHIC, SEARCH, None, expansions)
-            resume[depth] = 0
-            depth -= 1
-            u = placed.pop()
-            used[mapping[u]] = 0
-            mapping[u] = -1
-
-    cert = tuple(mapping)
-    result = verify_iso(D1, D2, cert)
-    if not result.ok:
-        raise VerificationFailed(f"search certificate failed at {result.witness}")
-    return Decision(FOUND, SEARCH, cert, expansions)
+    while True:
+        if colorings is not None:
+            colors1, colors2 = colorings
+            sizes = Counter(colors1)
+            if len(sizes) == n:  # discrete: pair the vertices by color
+                image = [0] * n
+                for w, color in enumerate(colors2):
+                    image[color] = w
+                cert = tuple(image[color] for color in colors1)
+                result = verify_iso(D1, D2, cert)
+                if not result.ok:
+                    raise VerificationFailed(f"search certificate failed at {result.witness}")
+                return Decision(FOUND, SEARCH, cert, expansions)
+            _, cell = min((size, color) for color, size in sizes.items() if size > 1)
+            stack.append((colorings, colors1.index(cell),
+                          iter([w for w, color in enumerate(colors2) if color == cell])))
+        while stack and (w := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
+            return Decision(NOT_ISOMORPHIC, SEARCH, None, expansions)
+        expansions += 1
+        if expansions > budget:
+            return Decision(EXHAUSTED, SEARCH, None, expansions)
+        (colors1, colors2), v, _ = stack[-1]
+        colors1, colors2 = colors1.copy(), colors2.copy()
+        colors1[v] = colors2[w] = n
+        colorings = _refine(digraphs, (colors1, colors2))
 
 
 # --- staged decision ---

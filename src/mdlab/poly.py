@@ -10,7 +10,10 @@ the fast path for very large prime fields.
 Each field kind has one arithmetic path. Prime fields (k = 1) work on
 plain residues with inline ``% p`` and never call a FieldCtx method per
 coefficient; extension fields go through the FieldCtx table lookups.
-On the prime-field path:
+Evaluation is Horner's rule over the nonzero terms only, on both kinds,
+with each distinct gap power computed once per point, so a trinomial
+costs a few powers per point whatever its degree. On the prime-field
+path:
 
 - Products use Kronecker substitution (von zur Gathen & Gerhard, *Modern
   Computer Algebra*, 8.4): each coefficient goes into a byte-aligned slot
@@ -23,14 +26,10 @@ On the prime-field path:
   touches only its nonzero coefficients, O(1) per degree step; reduction
   by a dense one (the gcd remainders) updates the whole window under the
   divisor in one list comprehension per step.
-- Evaluation is Horner's rule over the nonzero terms only, with each
-  distinct gap power computed once per point, so a trinomial costs a few
-  ``pow`` calls per point whatever its degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
@@ -71,34 +70,46 @@ def degree(f: Poly) -> int | None:
     return len(f) - 1 if f else None
 
 
-@lru_cache(maxsize=64)
-def _horner_plan(f: Poly) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """(gaps, steps) for Horner over the nonzero terms of f: gaps holds
-    each distinct exponent gap once, and steps runs from the leading term
-    down as (coefficient, index into gaps of the gap to the next nonzero
-    term, or to X^0 after the last)."""
-    exps = [e for e in range(len(f) - 1, -1, -1) if f[e]]
-    diffs = [e - nxt for e, nxt in zip(exps, exps[1:] + [0])]
-    gaps = tuple(sorted(set(diffs)))
-    slot = {g: i for i, g in enumerate(gaps)}
-    return gaps, tuple((f[e], slot[d]) for e, d in zip(exps, diffs))
+_last_plan: tuple = (None, None)  # (f, plan) of the last _horner_plan call
+
+
+def _horner_plan(f: Poly) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]:
+    """(gaps, steps, constant) for Horner over the nonzero terms of f:
+    gaps holds each distinct exponent gap once, and steps runs from the
+    leading term down to the lowest nonconstant one as (coefficient, index
+    into gaps of the gap to the next nonzero term, or to X^0 after the
+    last). The constant term is added at the end, with no X^0 factor.
+
+    The plan of the last f is kept and found by identity, since exhaustive
+    evaluation asks for the same f at every point; the kept reference
+    stops its id from being reused."""
+    global _last_plan
+    last_f, plan = _last_plan
+    if last_f is not f:
+        exps = [e for e in range(len(f) - 1, 0, -1) if f[e]]
+        diffs = [e - nxt for e, nxt in zip(exps, exps[1:] + [0])]
+        gaps = tuple(sorted(set(diffs)))
+        slot = {g: i for i, g in enumerate(gaps)}
+        plan = gaps, tuple((f[e], slot[d]) for e, d in zip(exps, diffs)), f[0] if f else 0
+        _last_plan = (f, plan)
+    return plan
 
 
 def eval_at(ctx: FieldCtx, f: Poly, x: int) -> int:
-    """Horner evaluation of f at x; on prime fields over the nonzero
-    terms only, acc = (acc + c) * x^gap."""
+    """Horner evaluation of f at x over its nonzero terms only,
+    acc = (acc + c) * x^gap, then plus the constant term."""
+    gaps, steps, constant = _horner_plan(f)
+    acc = 0
     if ctx.k == 1:
         p = ctx.p
-        gaps, steps = _horner_plan(f)
         powers = [pow(x, g, p) for g in gaps]
-        acc = 0
         for c, i in steps:
             acc = (acc + c) * powers[i] % p
-        return acc
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
+        return (acc + constant) % p
+    powers = [x if g == 1 else ctx.pow(x, g) for g in gaps]  # gap 1, as after aX, needs no pow
+    for c, i in steps:
+        acc = ctx.mul(ctx.add(acc, c), powers[i])
+    return ctx.add(acc, constant)
 
 
 def add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:

@@ -121,6 +121,12 @@ class TestIso:
         assert code == 0
         assert "not isomorphic" in out
 
+    def test_converse_pair_decided_within_budget(self, capsys):
+        code, out, _ = run(capsys, "iso", "--p", "31", "--d1", "1,2", "--d2", "2,1",
+                           "--budget", "10")
+        assert code == 0
+        assert "not isomorphic" in out
+
     def test_exhausted_budget(self, capsys):
         code, out, _ = run(capsys, "iso", "--p", "2", "--k", "2",
                            "--d1", "1,3", "--d2", "3,2", "--budget", "1")
@@ -139,7 +145,7 @@ class TestIso:
          "unit orbits differ\nnot isomorphic (fingerprints differ)\n"),
         (("--p", "2", "--k", "2", "--d1", "1,3", "--d2", "3,2"), 0,
          "unit orbits differ\n"
-         "not isomorphic (search exhausted all assignments, 1792 expansions)\n"),
+         "not isomorphic (search exhausted all assignments, 4 expansions)\n"),
     ])
     def test_output_per_stage(self, capsys, argv, code, stdout):
         assert run(capsys, "iso", *argv)[:2] == (code, stdout)

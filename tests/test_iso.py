@@ -260,8 +260,9 @@ class TestBruteForce:
         assert verify_iso(D, D, out.certificate).ok
 
     def test_budget_exhaustion(self):
-        ctx = prime_field(5)
-        out = brute_force_iso(build_digraph(ctx, 1, 2), build_digraph(ctx, 3, 2), budget=3)
+        # a cross-orbit GF(4) pair whose refutation takes 4 expansions
+        ctx = extension_field(2, 2)
+        out = brute_force_iso(build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 2), budget=3)
         assert out.status == EXHAUSTED
         assert out.expansions == 4  # the run stops on the first over-budget trial
 
@@ -274,9 +275,13 @@ class TestBruteForce:
         (3, None),   # all pairs
         (4, None),
         (5, [((1, 2), (3, 2)), ((1, 2), (2, 1)), ((1, 1), (3, 3)), ((2, 2), (2, 4))]),
+        # cross-orbit pairs that tie on every invariant, the census included
+        (8, [((1, 2), (1, 4)), ((1, 3), (4, 6)), ((1, 5), (3, 2)), ((1, 7), (7, 2)),
+             ((2, 3), (2, 6)), ((2, 5), (3, 6)), ((2, 7), (7, 5)), ((3, 4), (6, 3)),
+             ((3, 7), (7, 1)), ((4, 2), (6, 1)), ((4, 7), (7, 5)), ((5, 7), (7, 2))]),
     ])
     def test_against_networkx_oracle(self, q, pairs):
-        ctx = extension_field(2, 2) if q == 4 else prime_field(q)
+        ctx = extension_field(*{4: (2, 2), 8: (2, 3)}.get(q, (q, 1)))
         digs = {(m, n): build_digraph(ctx, m, n)
                 for m in range(1, q) for n in range(1, q)}
         if pairs is None:
@@ -287,15 +292,24 @@ class TestBruteForce:
             assert (ours.status == FOUND) == nx_isomorphic(digs[a], digs[b])
 
     def test_search_deeper_than_recursion_limit(self):
-        # a same-orbit pair over GF(32) whose search places all 1024
-        # vertices, one more level than the interpreter's recursion limit
+        # a same-orbit pair over GF(32): 1024 vertices, one more than the
+        # interpreter's recursion limit, paired after 3 individualizations
         ctx = extension_field(2, 5)
         assert unit_orbit(32, 3, 5) == unit_orbit(32, 1, 12)
         D1, D2 = build_digraph(ctx, 3, 5), build_digraph(ctx, 1, 12)
         assert D1.order > sys.getrecursionlimit()
         out = brute_force_iso(D1, D2, 200_000)
         assert (out.status, out.stage) == (FOUND, SEARCH)
-        assert out.expansions == 198_656
+        assert out.expansions == 3
+        assert verify_iso(D1, D2, out.certificate).ok
+
+    @pytest.mark.parametrize("a,b", [((1, 2), (2, 4)), ((3, 5), (6, 3))])
+    def test_gf8_same_orbit_found(self, a, b):
+        ctx = extension_field(2, 3)
+        assert unit_orbit(8, *a) == unit_orbit(8, *b)
+        D1, D2 = build_digraph(ctx, *a), build_digraph(ctx, *b)
+        out = brute_force_iso(D1, D2, 10_000)
+        assert (out.status, out.stage) == (FOUND, SEARCH)
         assert verify_iso(D1, D2, out.certificate).ok
 
     def test_power_map_success_implies_searchable(self):
@@ -385,6 +399,14 @@ class TestDecideIso:
         del D1
         gc.collect()
         assert ref() is None
+
+    def test_root_refinement_refutes_within_budget(self):
+        # the converse pair over GF(31) ties on the cheap invariants and has
+        # no census; the joint refinement of both digraphs refutes it
+        # before any expansion
+        ctx = prime_field(31)
+        decision = decide_iso(build_digraph(ctx, 1, 2), build_digraph(ctx, 2, 1), budget=10)
+        assert (decision.status, decision.stage) == (NOT_ISOMORPHIC, SEARCH)
 
     def test_budget_exhaustion(self):
         ctx = extension_field(2, 2)
