@@ -9,7 +9,7 @@ MAX_PRIME = (1 << 31) - 1         # arithmetic-only prime fields up to here
 # Root counting
 MAX_BOTH_METHOD_ORDER = 10_000    # default cross-validation threshold
 MAX_TRINOMIAL_DEGREE = 6_000      # d in X^d + aX + b over a prime field
-MAX_EXTENSION_TRINOMIAL_DEGREE = 32  # the same over GF(p^k), k > 1
+MAX_EXTENSION_TRINOMIAL_DEGREE = 1_000  # the same over GF(p^k), k > 1
 
 # Digraphs
 MAX_DIGRAPH_ORDER = 181           # q cap for the dense q^2 x q^2 bit matrix
@@ -21,7 +21,7 @@ MAX_COUNT_PATTERN_ORDER = 5       # vertices countable by generic backtracking
 MAX_PATTERN_HOST_ORDER = 13       # q cap for generic pattern counting
 
 # Verification scans
-MAX_EXERCISE_ORDER = 32           # q cap for the exhaustive exercise scan
+MAX_EXERCISE_ORDER = 97           # q cap for the exhaustive exercise scan
 MAX_THEOREM_PMAX = 700            # largest p_max of the theorem scan
 
 # Isomorphism search

@@ -7,13 +7,19 @@ evaluation (needs q small enough to enumerate) and deg gcd(f, X^q - X)
 computed by modular exponentiation, which never materializes X^q and is
 the fast path for very large prime fields.
 
-Each field kind has one arithmetic path. Prime fields (k = 1) work on
-plain residues with inline ``% p`` and never call a FieldCtx method per
-coefficient; extension fields go through the FieldCtx table lookups.
+Each field kind has one arithmetic path, and neither calls a FieldCtx
+method per coefficient in ``mul``, ``poly_mod`` or ``eval_at``. Prime
+fields (k = 1) work on plain residues with inline ``% p``. Extension
+fields bind the field's Zech-logarithm tables as locals: a product of
+two coefficients is a sum of logs, a sum goes through ``zech``, and each
+remainder step folds the divisor's lead inverse and the sign into one log
+offset per divisor term. Products and remainders skip zero coefficients,
+so the sparse powers of X that ``poly_powmod`` starts from cost little.
+
 Evaluation is Horner's rule over the nonzero terms only, on both kinds,
-with each distinct gap power computed once per point, so a trinomial
-costs a few powers per point whatever its degree. On the prime-field
-path:
+with each distinct gap power computed once per point (a product of logs
+on extension fields), so a trinomial costs a few powers per point
+whatever its degree. On the prime-field path:
 
 - Products use Kronecker substitution (von zur Gathen & Gerhard, *Modern
   Computer Algebra*, 8.4): each coefficient goes into a byte-aligned slot
@@ -106,10 +112,27 @@ def eval_at(ctx: FieldCtx, f: Poly, x: int) -> int:
         for c, i in steps:
             acc = (acc + c) * powers[i] % p
         return (acc + constant) % p
-    powers = [x if g == 1 else ctx.pow(x, g) for g in gaps]  # gap 1, as after aX, needs no pow
-    for c, i in steps:
-        acc = ctx.mul(ctx.add(acc, c), powers[i])
-    return ctx.add(acc, constant)
+    if x == 0:  # every step multiplies by a positive power of x
+        return constant
+    exp, log, zech = ctx._tables
+    n = ctx.q - 1
+    lx = log[x]
+    lpowers = [lx * g % n for g in gaps]
+    for c, i in steps:  # c != 0; acc + c = acc * (1 + c / acc)
+        lc = log[c]
+        if acc:
+            la = log[acc]
+            z = zech[lc - la]
+            if z < 0:
+                acc = 0
+                continue
+            lc = la + z
+        acc = exp[(lc + lpowers[i]) % n]
+    if not (acc and constant):
+        return acc or constant
+    la = log[acc]
+    z = zech[log[constant] - la]
+    return 0 if z < 0 else exp[la + z]
 
 
 def add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
@@ -151,11 +174,23 @@ def mul(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
         return ZERO
     if ctx.k == 1:
         return _mul_kronecker(f, g, ctx.p)
+    # schoolbook over the nonzero terms of both factors, in logs
+    exp, log, zech = ctx._tables
+    n = ctx.q - 1
+    g_terms = [(j, log[b]) for j, b in enumerate(g) if b]
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+            la = log[a]
+            for j, lb in g_terms:
+                t = la + lb  # < 2(q - 1), within the doubled exp
+                o = out[i + j]
+                if o:  # o + g^t = o * (1 + g^(t - log o))
+                    lo = log[o]
+                    z = zech[(t - lo) % n]
+                    out[i + j] = 0 if z < 0 else exp[lo + z]
+                else:
+                    out[i + j] = exp[t]
     return normalize(out)
 
 
@@ -175,17 +210,30 @@ def poly_mod(ctx: FieldCtx, f: Poly, m: Poly) -> Poly:
         return ZERO
     if ctx.k == 1:
         return _poly_mod_prime(f, m, ctx.p)
-    inv_lead = ctx.inv(m[-1])
-    support = [(i, m[i]) for i in range(dm) if m[i] != 0]
+    exp, log, zech = ctx._tables
+    n = ctx.q - 1
+    # each step adds -(r[top] / lead) * m[i] under the leading term, so one
+    # log offset per support term, log m[i] - log lead + log(-1), folds in
+    # the lead inverse and the sign (log(-1) = (q - 1) / 2 for odd p, 0 for
+    # p = 2)
+    offset = (0 if ctx.p == 2 else n // 2) - log[m[-1]]
+    support = [(i, (log[mc] + offset) % n) for i, mc in enumerate(m[:dm]) if mc]
     r = list(f)
     for top in range(len(r) - 1, dm - 1, -1):
         c = r[top]
         if c:
-            c = ctx.mul(c, inv_lead)
+            lc = log[c]
             shift = top - dm
-            for i, mc in support:
-                r[shift + i] = ctx.sub(r[shift + i], ctx.mul(c, mc))
-        r[top] = 0
+            for i, off in support:
+                t = lc + off  # < 2(q - 1), within the doubled exp
+                o = r[shift + i]
+                if o:  # o + g^t = o * (1 + g^(t - log o))
+                    lo = log[o]
+                    z = zech[(t - lo) % n]
+                    r[shift + i] = 0 if z < 0 else exp[lo + z]
+                else:
+                    r[shift + i] = exp[t]
+    del r[dm:]  # entries at and above dm are never read again
     return normalize(r)
 
 

@@ -212,7 +212,7 @@ class TestScans:
         assert out == ""
         assert err.startswith("error:") and "GF(2^2)" in err
 
-    @pytest.mark.parametrize("fields", ["1009", "10000019", "8,1009", "2^6",
+    @pytest.mark.parametrize("fields", ["1009", "10000019", "8,1009", "11^2",
                                         "1000000000000000003",
                                         "1000000000000000000"])
     def test_exercise_over_cap_exits_2_at_once(self, capsys, fields):

@@ -11,10 +11,10 @@ import pytest
 import mdlab.harness
 from mdlab import caps
 from mdlab.digraph import build_digraph
-from mdlab.errors import CapExceeded
+from mdlab.errors import CapExceeded, MethodDisagreement
 from mdlab.field import extension_field, prime_field
 from mdlab.patterns import count_looped_arc
-from mdlab.poly import nontrivial_root_count
+from mdlab.poly import RootCount, distinct_root_count, nontrivial_root_count, trinomial
 from mdlab.harness import (
     _reciprocal_pairs,
     emit_report,
@@ -141,6 +141,38 @@ class TestExerciseScan:
         with pytest.raises(ValueError, match=r"GF\(2\^2\) given more than once"):
             run_exercise_scan(fields)
 
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+    def test_records_match_direct_counts(self, p, k):
+        # every record against its own two trinomials, each counted by both
+        # methods; GF(8)'s pairs 2<->4 and 3<->5 come from mirrored items
+        ctx = extension_field(p, k)
+        expected = []
+        for m, n in _reciprocal_pairs(ctx.q):
+            for a in ctx.elements():
+                for b in ctx.elements():
+                    lhs = distinct_root_count(ctx, trinomial(ctx, m + 1, a, b), "both")
+                    rhs = distinct_root_count(
+                        ctx, trinomial(ctx, n + 1, a, ctx.pow(b, m)), "both")
+                    params = {"p": p, "k": k, "q": ctx.q, "m": m, "n": n, "a": a, "b": b}
+                    expected.append(("exercise", params,
+                                     {"r_m": lhs.distinct, "r_n": rhs.distinct}, True))
+        report = run_exercise_scan([(p, k)], workers=1)
+        assert [(r.check, r.params, r.observed, r.passed) for r in report.records] == expected
+
+    def test_count_disagreement_raises(self, monkeypatch):
+        # a gcd count off by one must stop the scan, not become a record
+        counted = []
+
+        def off_by_one(ctx, f, method="auto"):
+            counted.append(method)
+            found = distinct_root_count(ctx, f, method)
+            return RootCount(found.distinct + 1, found.roots)
+
+        monkeypatch.setattr(mdlab.harness, "distinct_root_count", off_by_one)
+        with pytest.raises(MethodDisagreement, match="bruteforce found"):
+            run_exercise_scan([(2, 3)], workers=1)
+        assert counted == ["gcd"]
+
     def test_odd_specialization_matches_theorem(self):
         # a = -2, b = 1 rows restate the prime-field theorem records
         report = run_exercise_scan([(5, 1)])
@@ -229,14 +261,15 @@ class TestEmission:
             return run_items(worker, items, workers)
 
         scans = (lambda: run_theorem_scan(31, with_digraphs=True, workers=1),
-                 lambda: run_exercise_scan([(2, 2), (5, 1)], workers=1))
+                 lambda: run_exercise_scan([(2, 2), (2, 3), (5, 1)], workers=1))
         expected = [jsonl_bytes(scan()) for scan in scans]
         monkeypatch.setattr(mdlab.harness, "_run_items", reordered)
         assert [jsonl_bytes(scan()) for scan in scans] == expected
 
     def test_schedule_independent(self):
-        serial = run_exercise_scan([(3, 2), (5, 1)], workers=1)
-        parallel = run_exercise_scan([(3, 2), (5, 1)], workers=4)
+        # GF(8) has mirrored pairs (2, 4) and (3, 5), emitted from one item each
+        serial = run_exercise_scan([(3, 2), (2, 3), (5, 1)], workers=1)
+        parallel = run_exercise_scan([(3, 2), (2, 3), (5, 1)], workers=4)
         assert jsonl_bytes(serial) == jsonl_bytes(parallel)
 
     def test_csv_layout(self):
