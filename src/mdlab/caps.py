@@ -25,7 +25,7 @@ MAX_EXERCISE_ORDER = 97           # q cap for the exhaustive exercise scan
 MAX_THEOREM_PMAX = 700            # largest p_max of the theorem scan
 
 # Isomorphism search
-MAX_CONJECTURE_ORDER = 7          # q cap for the exhaustive conjecture scan
+MAX_CONJECTURE_ORDER = 13         # q cap for the exhaustive conjecture scan
 DEFAULT_SEARCH_BUDGET = 10_000    # individualization-refinement expansions
 
 

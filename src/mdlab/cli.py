@@ -83,10 +83,11 @@ def _emit(report, args) -> None:
 def _cmd_build(args) -> int:
     ctx = _field(args)
     D = build_digraph(ctx, args.m, args.n)
+    dot = D.to_dot() if args.dot else None  # over its cap: exit 2 before any output
     print(f"D({ctx.q};{D.m},{D.n}): {D.order} vertices, {D.arc_count} arcs, "
           f"{len(D.loop_indices())} loops")
     if args.dot:
-        Path(args.dot).write_text(D.to_dot(), encoding="utf-8")
+        Path(args.dot).write_text(dot, encoding="utf-8")
         print(f"dot written to {args.dot}")
     return 0
 
@@ -113,9 +114,8 @@ def _cmd_count_k(args) -> int:
 
 def _cmd_count_pattern(args) -> int:
     ctx = _field(args)
-    D = build_digraph(ctx, args.m, args.n)
     pattern = parse_pattern(Path(args.pattern).read_text(encoding="utf-8"))
-    result = count_pattern(D, pattern)
+    result = count_pattern(build_digraph(ctx, args.m, args.n), pattern)
     print(f"injections={result.injections} aut={result.aut} "
           f"subdigraphs={result.subdigraphs}")
     return 0

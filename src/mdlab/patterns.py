@@ -4,6 +4,10 @@ A Pattern is an explicit digraph on at most 8 vertices. Counting follows
 the subdigraph convention: an embedding must reproduce every pattern arc
 but pattern non-arcs are unconstrained. Copies are counted as
 arc-preserving injections divided by the pattern's automorphism count.
+Injections are counted by backtracking over host-vertex bitmasks: a step's
+candidates are the free vertices (loop vertices only, for a looped pattern
+vertex) ANDed with the out-row of each placed predecessor's image and the
+in-mask of each placed successor's; the last step is just a popcount.
 
 The two-loops-plus-one-arc pattern (two distinguished vertices, a loop on
 each, a single arc between them) has a dedicated counter that enumerates
@@ -11,9 +15,11 @@ ordered pairs of loop vertices, which is O(q^2) once loops are extracted.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, compress, permutations, product
+from math import perm
 from typing import NamedTuple
 
 from . import caps
@@ -79,77 +85,51 @@ def count_looped_arc(D: MonomialDigraph) -> int:
 
 
 def _count_injections(D: MonomialDigraph, pattern: Pattern) -> int:
-    n = D.order
-    deg = [0] * pattern.order
-    for a, b in pattern.arcs:
-        deg[a] += 1
-        deg[b] += 1
-    core = sorted((v for v in range(pattern.order) if deg[v]), key=lambda v: (-deg[v], v))
-    isolated = pattern.order - len(core)
+    n, arcs = D.order, pattern.arcs
+    deg = Counter(chain.from_iterable(arcs))
+    core = sorted(deg, key=lambda v: (-deg[v], v))
 
-    out_lists, in_lists, loop_flags = D.view
-    loop_list = [i for i in range(n) if loop_flags[i]]
+    # per step: loop requirement, placed predecessors and placed successors
+    steps = [((h, h) in arcs,
+              [s for s in range(t) if (core[s], h) in arcs],
+              [s for s in range(t) if (h, core[s]) in arcs])
+             for t, h in enumerate(core)]
 
-    # per placement step: loop requirement plus arc checks against the
-    # already-placed core prefix
-    steps = []
-    for t, h in enumerate(core):
-        needs_loop = (h, h) in pattern.arcs
-        checks = []
-        anchor = None  # (position, use_out_list_of_image)
-        for s in range(t):
-            g = core[s]
-            if (g, h) in pattern.arcs and g != h:
-                checks.append((s, True))
-                anchor = anchor or (s, True)
-            if (h, g) in pattern.arcs and g != h:
-                checks.append((s, False))
-                anchor = anchor or (s, False)
-        steps.append((needs_loop, checks, anchor))
+    # rows are little-endian target bitsets; free masks out their padding
+    _, in_lists, loop_flags = D.view
+    bits = [1 << i for i in range(n)]
+    out_masks = [int.from_bytes(row, "little") for row in D.rows]
+    in_masks = ([sum(map(bits.__getitem__, sources)) for sources in in_lists]
+                if any(backward for _, _, backward in steps) else ())
+    loops = sum(compress(bits, loop_flags))
 
-    used = [False] * n
     images = [0] * len(core)
+    last = len(core) - 1
 
-    def place(t: int) -> int:
-        if t == len(core):
-            return 1
-        needs_loop, checks, anchor = steps[t]
-        if anchor is not None:
-            s, forward = anchor
-            candidates = out_lists[images[s]] if forward else in_lists[images[s]]
-        elif needs_loop:
-            candidates = loop_list
-        else:
-            candidates = range(n)
+    def place(t: int, free: int) -> int:
+        needs_loop, forward, backward = steps[t]
+        cand = free & loops if needs_loop else free
+        for s in forward:
+            cand &= out_masks[images[s]]
+        for s in backward:
+            cand &= in_masks[images[s]]
+        if t == last:
+            return cand.bit_count()
         total = 0
-        for c in candidates:
-            if used[c] or (needs_loop and not loop_flags[c]):
-                continue
-            ok = True
-            for s, forward in checks:
-                img = images[s]
-                if forward:
-                    if not D.has_arc_index(img, c):
-                        ok = False
-                        break
-                elif not D.has_arc_index(c, img):
-                    ok = False
-                    break
-            if ok:
-                used[c] = True
-                images[t] = c
-                total += place(t + 1)
-                used[c] = False
+        while cand:
+            low = cand & -cand
+            images[t] = low.bit_length() - 1
+            total += place(t + 1, free ^ low)
+            cand ^= low
         return total
 
-    count = place(0)
-    for i in range(isolated):
-        count *= n - len(core) - i
-    return count
+    count = place(0, (1 << n) - 1) if core else 1
+    # isolated pattern vertices go anywhere the core left free
+    return count * perm(n - len(core), pattern.order - len(core))
 
 
 def count_pattern(D: MonomialDigraph, pattern: Pattern) -> PatternCount:
-    """Subdigraph copies of pattern in D by backtracking enumeration."""
+    """Subdigraph copies of pattern in D by bitmask backtracking."""
     if pattern.order > caps.MAX_COUNT_PATTERN_ORDER:
         raise CapExceeded(
             f"count_pattern is capped at {caps.MAX_COUNT_PATTERN_ORDER} pattern vertices")

@@ -46,6 +46,15 @@ class TestBuild:
         assert code == 2
         assert "error" in err
 
+    def test_dot_over_cap_prints_nothing(self, capsys, tmp_path):
+        target = tmp_path / "x.dot"
+        code, out, err = run(capsys, "build", "--p", "17", "--m", "1", "--n", "2",
+                             "--dot", str(target))
+        assert code == 2
+        assert out == ""
+        assert "DOT export capped" in err
+        assert not target.exists()
+
     def test_extension_field(self, capsys):
         code, out, _ = run(capsys, "build", "--p", "2", "--k", "2", "--m", "1", "--n", "1")
         assert code == 0
@@ -106,6 +115,20 @@ class TestCounts:
                            "--pattern", str(literal))
         assert code == 0
         assert "subdigraphs=20" in out
+
+    def test_bad_pattern_literal_exits_before_build(self, capsys, tmp_path, monkeypatch):
+        literal = tmp_path / "pattern.txt"
+        literal.write_text("2\n0 1 1\n")
+
+        def no_build(*args):
+            raise AssertionError("digraph built before the pattern was parsed")
+
+        monkeypatch.setattr(mdlab.cli, "build_digraph", no_build)
+        code, out, err = run(capsys, "count-pattern", "--p", "181", "--m", "1", "--n", "2",
+                             "--pattern", str(literal))
+        assert code == 2
+        assert out == ""
+        assert "malformed arc line" in err
 
 
 class TestIso:

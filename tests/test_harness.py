@@ -184,16 +184,19 @@ class TestExerciseScan:
 
 
 class TestConjectureScan:
-    def test_gf5(self):
-        report = run_conjecture_scan(prime_field(5))
+    @pytest.mark.parametrize("q,digraph_count,class_count",
+                             [(5, 16, 10), (9, 64, 22), (11, 100, 28)])
+    def test_gf5(self, q, digraph_count, class_count):
+        p, k = {5: (5, 1), 9: (3, 2), 11: (11, 1)}[q]
+        report = run_conjecture_scan(extension_field(p, k))
         assert report.meta["verdict"] == "CONSISTENT"
         summary = [r for r in report.records if r.check == "conjecture"]
         assert len(summary) == 1
         assert summary[0].observed == {
-            "digraph_count": 16, "class_count": 10, "exhausted": 0,
+            "digraph_count": digraph_count, "class_count": class_count, "exhausted": 0,
         }
         pair_records = [r for r in report.records if r.check == "iso"]
-        assert len(pair_records) == 16 * 15 // 2
+        assert len(pair_records) == digraph_count * (digraph_count - 1) // 2
         assert report.all_passed
 
     def test_gf3_converse_pair_refuted(self):
@@ -226,7 +229,7 @@ class TestConjectureScan:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            run_conjecture_scan(prime_field(11))
+            run_conjecture_scan(prime_field(17))
 
 
 class TestEmission:

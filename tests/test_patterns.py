@@ -2,13 +2,16 @@
 is naive enumeration over all injective vertex maps."""
 from __future__ import annotations
 
+import random
 from itertools import permutations
+from math import perm
 
 import pytest
 
 from mdlab.digraph import build_digraph
 from mdlab.errors import CapExceeded, EvenCharacteristic
 from mdlab.field import extension_field, prime_field
+from mdlab.iso import permute_digraph
 from mdlab.patterns import (
     Pattern,
     automorphism_count,
@@ -29,6 +32,28 @@ def injections_by_enumeration(D, pattern):
         if all(D.has_arc_index(img[a], img[b]) for a, b in pattern.arcs):
             count += 1
     return count
+
+
+ORACLE_FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1)}
+ORACLE_MAX_MAPS = 100_000  # injective maps the oracle may try per pattern
+ORACLE_SHAPES = (
+    looped_arc_pattern(),
+    Pattern(2, frozenset({(0, 1), (1, 0)})),
+    Pattern(3, frozenset({(0, 1), (1, 2)})),
+    Pattern(3, frozenset({(0, 0), (0, 1), (1, 2)})),
+    Pattern(3, frozenset()),
+    Pattern(2, frozenset({(0, 0)})),
+    # in-star: the center is placed first, the leaves only through in-masks
+    Pattern(3, frozenset({(1, 0), (2, 0)})),
+    # the looped vertex 2 is placed second, after vertex 0
+    Pattern(3, frozenset({(0, 1), (1, 0), (0, 2), (2, 2)})),
+    # isolated vertices next to a core
+    Pattern(4, frozenset({(0, 1), (1, 2)})),
+    Pattern(5, frozenset({(0, 0), (2, 1)})),
+    Pattern(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)})),
+    Pattern(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (3, 3)})),
+    Pattern(5, frozenset({(0, 1), (0, 2), (3, 0), (4, 0), (1, 2)})),
+)
 
 
 class TestBuiltinPattern:
@@ -82,21 +107,22 @@ class TestCountPattern:
         # arcs between distinct vertices: q^3 - q
         assert count_pattern(D, arc).subdigraphs == 24
 
-    @pytest.mark.parametrize("p,m,n", [(3, 1, 2), (3, 2, 1), (5, 1, 2)])
-    def test_against_enumeration_oracle(self, p, m, n):
-        D = build_digraph(prime_field(p), m, n)
-        samples = [
-            looped_arc_pattern(),
-            Pattern(2, frozenset({(0, 1), (1, 0)})),
-            Pattern(3, frozenset({(0, 1), (1, 2)})),
-            Pattern(3, frozenset({(0, 0), (0, 1), (1, 2)})),
-            Pattern(3, frozenset()),
-            Pattern(2, frozenset({(0, 0)})),
-        ]
-        for pat in samples:
-            got = count_pattern(D, pat)
-            assert got.injections == injections_by_enumeration(D, pat)
-            assert got.subdigraphs * got.aut == got.injections
+    @pytest.mark.parametrize("q,m,n", [(3, 1, 2), (3, 2, 1), (5, 1, 2), (4, 1, 2)])
+    def test_against_enumeration_oracle(self, q, m, n):
+        # the whole library on GF(3) (order 9 leaves 7 padding bits in each
+        # row's last byte) and GF(4) (an extension field), hand-picked shapes
+        # everywhere; every host also relabeled, wherever the oracle is cheap
+        D = build_digraph(extension_field(*ORACLE_FIELDS[q]), m, n)
+        shuffled = list(range(D.order))
+        random.Random(q).shuffle(shuffled)
+        patterns = ORACLE_SHAPES + (small_pattern_library() if q <= 4 else ())
+        for host in (D, permute_digraph(D, shuffled)):
+            for pat in patterns:
+                if perm(host.order, pat.order) > ORACLE_MAX_MAPS:
+                    continue
+                got = count_pattern(host, pat)
+                assert got.injections == injections_by_enumeration(host, pat), pat
+                assert got.subdigraphs * got.aut == got.injections
 
     def test_caps(self):
         D = build_digraph(prime_field(3), 1, 2)
