@@ -30,20 +30,5 @@ DEFAULT_SEARCH_BUDGET = 10_000    # individualization-refinement expansions
 
 
 def as_dict() -> dict[str, int]:
-    return {
-        "max_extension_degree": MAX_EXTENSION_DEGREE,
-        "max_enumeration_order": MAX_ENUMERATION_ORDER,
-        "max_prime": MAX_PRIME,
-        "max_both_method_order": MAX_BOTH_METHOD_ORDER,
-        "max_trinomial_degree": MAX_TRINOMIAL_DEGREE,
-        "max_extension_trinomial_degree": MAX_EXTENSION_TRINOMIAL_DEGREE,
-        "max_digraph_order": MAX_DIGRAPH_ORDER,
-        "max_dot_order": MAX_DOT_ORDER,
-        "max_pattern_order": MAX_PATTERN_ORDER,
-        "max_count_pattern_order": MAX_COUNT_PATTERN_ORDER,
-        "max_pattern_host_order": MAX_PATTERN_HOST_ORDER,
-        "max_exercise_order": MAX_EXERCISE_ORDER,
-        "max_theorem_pmax": MAX_THEOREM_PMAX,
-        "max_conjecture_order": MAX_CONJECTURE_ORDER,
-        "default_search_budget": DEFAULT_SEARCH_BUDGET,
-    }
+    """Every cap above, lower-cased, in the order defined."""
+    return {name.lower(): value for name, value in globals().items() if name.isupper()}

@@ -4,7 +4,9 @@ The vertex (x1, x2) has index code(x1) * q + code(x2); the adjacency
 matrix is stored as one little-endian bitset row (a bytes object) per
 source vertex, so arc tests are single bit lookups and whole-row
 comparisons are memcmp. Rows are immutable and the digraph is safe to
-share across workers.
+share across workers. The pattern census reads the rows, and those of the
+converse, as int bitmasks through `view`; the neighbor lists that color
+refinement reads are built and kept by iso, not here.
 """
 from __future__ import annotations
 
@@ -35,12 +37,13 @@ def normalize_exponent(e: int, q: int) -> int:
 
 
 class AdjacencyView(NamedTuple):
-    """Adjacency as index tuples: targets per source, sources per target,
-    and the loop flag per vertex."""
+    """Adjacency as int bitmasks, bit j standing for vertex index j: the
+    targets of each source, the sources of each target, and the loop
+    vertices."""
 
-    out_lists: tuple[tuple[int, ...], ...]
-    in_lists: tuple[tuple[int, ...], ...]
-    loop_flags: tuple[bool, ...]
+    out_masks: tuple[int, ...]
+    in_masks: tuple[int, ...]
+    loop_mask: int
 
 
 class MonomialDigraph:
@@ -124,15 +127,14 @@ class MonomialDigraph:
 
     @cached_property
     def view(self) -> AdjacencyView:
-        """Adjacency lists for the census, refinement and search, built on
-        first use and kept. As lists it is far larger than the bitset rows
-        (about 285 MB at q = 181), so the row-scan paths (build, converse,
-        relabeling, certificate checks, DOT) never touch it."""
-        return AdjacencyView(
-            tuple(tuple(self.out_indices(i)) for i in range(self.order)),
-            tuple(tuple(sources) for sources in self.in_index_lists()),
-            tuple(self.has_arc_index(i, i) for i in range(self.order)),
-        )
+        """The rows, the rows of the converse and the loops as int
+        bitmasks, for the pattern census; built on first use and kept. The
+        census is capped at q <= caps.MAX_PATTERN_HOST_ORDER, so the view
+        is never built near the dense-matrix cap."""
+        def masks(rows):
+            return tuple(int.from_bytes(row, "little") for row in rows)
+        return AdjacencyView(masks(self.rows), masks(self.converse().rows),
+                             sum(1 << i for i in self.loop_indices()))
 
     def converse(self) -> "MonomialDigraph":
         """Arc-reversed digraph; parameters recorded as (n, m)."""
@@ -165,8 +167,7 @@ class MonomialDigraph:
         return "\n".join(lines) + "\n"
 
 
-def build_digraph(ctx: FieldCtx, m: int, n: int,
-                  max_q: int = caps.MAX_DIGRAPH_ORDER) -> MonomialDigraph:
+def build_digraph(ctx: FieldCtx, m: int, n: int) -> MonomialDigraph:
     """Construct D(q; m, n); exponents are normalized into {1, ..., q-1}.
 
     Solves y2 = x1^m * y1^n - x2 for every (x1, x2, y1), so construction is
@@ -176,8 +177,8 @@ def build_digraph(ctx: FieldCtx, m: int, n: int,
     block done with whole-int operations.
     """
     q = ctx.q
-    if q > max_q:
-        raise CapExceeded(f"q = {q} exceeds dense-matrix cap {max_q}")
+    if q > caps.MAX_DIGRAPH_ORDER:
+        raise CapExceeded(f"q = {q} exceeds dense-matrix cap {caps.MAX_DIGRAPH_ORDER}")
     m = normalize_exponent(m, q)
     n = normalize_exponent(n, q)
     order = q * q

@@ -39,8 +39,6 @@ from .poly import distinct_root_count, eval_at, nontrivial_root_count, trinomial
 
 PARAM_ORDER = ("p", "k", "q", "m", "n", "a", "b")
 
-CHECK_KINDS = ("theorem", "exercise", "k_formula", "conjecture", "iso", "roots")
-
 
 @dataclass(frozen=True)
 class CheckRecord:

@@ -17,10 +17,11 @@ fresh color and refines both jointly, pruning a branch as soon as their
 signatures differ. The budget is counted in these expansions, not
 wall-clock, so runs are machine-independent.
 
-Each digraph's refinement colors, cheap invariants and fingerprint are
-computed at most once, on first use by decide_iso, fingerprint or
-brute_force_iso, and kept in a weak-keyed cache until the digraph itself
-is dropped.
+Each digraph's neighbor lists (the form refinement reads), refinement
+colors, cheap invariants and fingerprint are computed at most once, on
+first use by decide_iso, fingerprint or brute_force_iso, and kept in a
+weak-keyed cache until the digraph itself is dropped. The census reads
+the digraph's own bitmask view instead.
 """
 from __future__ import annotations
 
@@ -172,7 +173,7 @@ def _refine(digraphs, colorings):
     while True:
         sigs = []
         for D, colors in zip(digraphs, colorings):
-            out_lists, in_lists, _ = D.view
+            out_lists, in_lists = _cached(D, "lists", _neighbor_lists)
             sigs.append([
                 (
                     colors[v],
@@ -196,14 +197,14 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
     (loop?, out-degree, in-degree). Color ids are assigned in sorted
     signature order each round, so isomorphic digraphs get identical
     color multisets."""
-    out_lists, in_lists, loop_flags = D.view
-    seeds = [(loop_flags[i], len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
+    out_lists, in_lists = _cached(D, "lists", _neighbor_lists)
+    seeds = [(i in out_lists[i], len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
     ranks = {s: c for c, s in enumerate(sorted(set(seeds)))}
     return _refine((D,), ([ranks[s] for s in seeds],))[0]
 
 
-# digraph -> {"colors" | "cheap" | "print": value}. No value may refer back
-# to its digraph, or the weak key would never die.
+# digraph -> {"lists" | "colors" | "cheap" | "print": value}. No value may
+# refer back to its digraph, or the weak key would never die.
 _invariants: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -214,6 +215,14 @@ def _cached(D: MonomialDigraph, name: str, compute):
     if name not in entry:
         entry[name] = compute(D)
     return entry[name]
+
+
+def _neighbor_lists(D: MonomialDigraph):
+    """(out_lists, in_lists): D's targets per source and sources per target
+    as index tuples, the form refinement reads. Far larger than the bitset
+    rows (about 285 MB at q = 181), so only refinement builds them."""
+    return (tuple(tuple(D.out_indices(i)) for i in range(D.order)),
+            tuple(map(tuple, D.in_index_lists())))
 
 
 @dataclass(frozen=True)
@@ -232,13 +241,13 @@ class Fingerprint:
 def cheap_invariants(D: MonomialDigraph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """The fingerprint without its pattern census: (loop count, 2-cycle
     count, refinement histogram)."""
-    out_lists, _, loop_flags = D.view
+    out_lists, _ = _cached(D, "lists", _neighbor_lists)
     two_cycles = sum(
         1 for i, targets in enumerate(out_lists)
         for j in targets if j > i and D.has_arc_index(j, i)
     )
     histogram = tuple(sorted(Counter(_cached(D, "colors", color_refinement)).items()))
-    return sum(loop_flags), two_cycles, histogram
+    return len(D.loop_indices()), two_cycles, histogram
 
 
 def fingerprint(D: MonomialDigraph) -> Fingerprint:

@@ -6,8 +6,9 @@ but pattern non-arcs are unconstrained. Copies are counted as
 arc-preserving injections divided by the pattern's automorphism count.
 Injections are counted by backtracking over host-vertex bitmasks: a step's
 candidates are the free vertices (loop vertices only, for a looped pattern
-vertex) ANDed with the out-row of each placed predecessor's image and the
-in-mask of each placed successor's; the last step is just a popcount.
+vertex) ANDed with the out-mask of each placed predecessor's image and the
+in-mask of each placed successor's; the last step is just a popcount. The
+masks are the host's `view`, built once per digraph for all patterns.
 
 The two-loops-plus-one-arc pattern (two distinguished vertices, a loop on
 each, a single arc between them) has a dedicated counter that enumerates
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, permutations, product
+from itertools import chain, permutations, product
 from math import perm
 from typing import NamedTuple
 
@@ -60,6 +61,7 @@ def looped_arc_pattern() -> Pattern:
     return Pattern(2, frozenset({(0, 0), (1, 1), (0, 1)}))
 
 
+@lru_cache(maxsize=None)
 def automorphism_count(pattern: Pattern) -> int:
     arcs = pattern.arcs
     return sum(
@@ -95,14 +97,7 @@ def _count_injections(D: MonomialDigraph, pattern: Pattern) -> int:
               [s for s in range(t) if (h, core[s]) in arcs])
              for t, h in enumerate(core)]
 
-    # rows are little-endian target bitsets; free masks out their padding
-    _, in_lists, loop_flags = D.view
-    bits = [1 << i for i in range(n)]
-    out_masks = [int.from_bytes(row, "little") for row in D.rows]
-    in_masks = ([sum(map(bits.__getitem__, sources)) for sources in in_lists]
-                if any(backward for _, _, backward in steps) else ())
-    loops = sum(compress(bits, loop_flags))
-
+    out_masks, in_masks, loops = D.view
     images = [0] * len(core)
     last = len(core) - 1
 
@@ -163,11 +158,11 @@ def verify_looped_arc_formula(ctx: FieldCtx, n: int) -> FormulaCheck:
 
 
 @lru_cache(maxsize=None)
-def small_pattern_library(max_order: int = 3) -> tuple[Pattern, ...]:
-    """Every digraph on at most max_order vertices, one per isomorphism
-    class, in a fixed order (order, arc count, canonical arc tuple)."""
+def small_pattern_library() -> tuple[Pattern, ...]:
+    """Every digraph on at most 3 vertices, one per isomorphism class, in a
+    fixed order (order, arc count, canonical arc tuple)."""
     seen: dict[tuple[int, tuple[Arc, ...]], Pattern] = {}
-    for order in range(1, max_order + 1):
+    for order in range(1, 4):
         cells = list(product(range(order), repeat=2))
         for bits in range(1 << len(cells)):
             arcs = frozenset(c for i, c in enumerate(cells) if (bits >> i) & 1)

@@ -358,7 +358,7 @@ def distinct_root_count(ctx: FieldCtx, f: Poly, method: str = "auto") -> RootCou
     raise ValueError(f"unknown method {method!r}")
 
 
-def nontrivial_root_count(ctx: FieldCtx, n: int, method: str = "auto") -> int:
+def nontrivial_root_count(ctx: FieldCtx, n: int) -> int:
     """Distinct roots of X^(n+1) - 2X + 1 other than the root 1.
 
     The coefficients sum to zero in every field, so 1 is always a root and
@@ -368,4 +368,4 @@ def nontrivial_root_count(ctx: FieldCtx, n: int, method: str = "auto") -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     minus_two = ctx.neg(ctx.add(1, 1))
     f = trinomial(ctx, n + 1, minus_two, 1)
-    return distinct_root_count(ctx, f, method=method).distinct - 1
+    return distinct_root_count(ctx, f).distinct - 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mdlab.errors import CapExceeded, InvalidExponent
 from mdlab.digraph import MonomialDigraph, build_digraph
 from mdlab.field import extension_field, prime_field
-from mdlab.iso import permute_digraph
+from mdlab.iso import _cached, _neighbor_lists, permute_digraph
 
 # All 27 arcs of D(3;1,2), listed vertex by vertex; each entry was
 # hand-checked against the arc equation x2 + y2 = x1 * y1^2 over GF(3).
@@ -210,12 +210,23 @@ class TestAdjacencyView:
         shuffled = list(range(D.order))
         random.Random(p * 100 + m * 10 + n).shuffle(shuffled)
         for G in (D, D.converse(), permute_digraph(D, shuffled)):
-            out_lists, in_lists, loop_flags = G.view
-            assert [list(t) for t in out_lists] == [G.out_indices(i) for i in range(G.order)]
-            transpose = {(j, i) for i in range(G.order) for j in G.out_indices(i)}
+            out_masks, in_masks, loop_mask = G.view
+            order = range(G.order)
+            assert len(out_masks) == len(in_masks) == G.order
+            assert all(out_masks[i] >> G.order == in_masks[i] >> G.order == 0 for i in order)
+            assert all((out_masks[i] >> j & 1) == G.has_arc_index(i, j)
+                       for i in order for j in order)
+            assert all((in_masks[j] >> i & 1) == (out_masks[i] >> j & 1)
+                       for i in order for j in order)
+            assert loop_mask == sum(1 << i for i in order if G.has_arc_index(i, i))
+            # refinement's neighbor lists, kept in iso's cache
+            lists = _cached(G, "lists", _neighbor_lists)
+            assert _cached(G, "lists", _neighbor_lists) is lists
+            out_lists, in_lists = lists
+            assert [list(t) for t in out_lists] == [G.out_indices(i) for i in order]
+            transpose = {(j, i) for i in order for j in G.out_indices(i)}
             assert {(j, i) for j, sources in enumerate(in_lists) for i in sources} == transpose
             assert all(list(sources) == sorted(sources) for sources in in_lists)
-            assert list(loop_flags) == [G.has_arc_index(i, i) for i in range(G.order)]
 
     def test_view_is_built_once(self):
         D = build_digraph(prime_field(5), 1, 2)

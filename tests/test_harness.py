@@ -291,6 +291,19 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit_report(run_theorem_scan(3), "yaml", io.StringIO())
 
+    def test_caps_metadata(self):
+        # every cap in caps.py, in the order defined there, echoed by each report
+        assert list(caps.as_dict()) == [
+            "max_extension_degree", "max_enumeration_order", "max_prime",
+            "max_both_method_order", "max_trinomial_degree",
+            "max_extension_trinomial_degree", "max_digraph_order", "max_dot_order",
+            "max_pattern_order", "max_count_pattern_order", "max_pattern_host_order",
+            "max_exercise_order", "max_theorem_pmax", "max_conjecture_order",
+            "default_search_budget",
+        ]
+        assert caps.as_dict()["max_digraph_order"] == caps.MAX_DIGRAPH_ORDER
+        assert run_theorem_scan(3).meta["caps"] == caps.as_dict()
+
 
 class TestExitCodes:
     def test_all_pass_zero(self):
