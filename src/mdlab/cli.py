@@ -60,17 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(report, args) -> None:
-    """Report to stdout, or to --out through a temp file in the same
-    directory that replaces the target only once it is complete."""
-    if not args.out:
-        emit_report(report, args.format, sys.stdout)
-        return
-    target = Path(args.out)
+def _write_atomic(path: str, write) -> None:
+    """write(handle) to a temp file beside path that replaces it only once complete."""
+    target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            emit_report(report, args.format, handle)
+            write(handle)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
@@ -80,14 +76,23 @@ def _emit(report, args) -> None:
         raise
 
 
+def _emit(report, args) -> None:
+    """Report to stdout, or to --out through _write_atomic."""
+    if args.out:
+        _write_atomic(args.out, lambda handle: emit_report(report, args.format, handle))
+    else:
+        emit_report(report, args.format, sys.stdout)
+
+
 def _cmd_build(args) -> int:
     ctx = _field(args)
     D = build_digraph(ctx, args.m, args.n)
-    dot = D.to_dot() if args.dot else None  # over its cap: exit 2 before any output
+    if args.dot:  # over the DOT cap or unwritable: exit 2 before any output
+        dot = D.to_dot()
+        _write_atomic(args.dot, lambda handle: handle.write(dot))
     print(f"D({ctx.q};{D.m},{D.n}): {D.order} vertices, {D.arc_count} arcs, "
           f"{len(D.loop_indices())} loops")
     if args.dot:
-        Path(args.dot).write_text(dot, encoding="utf-8")
         print(f"dot written to {args.dot}")
     return 0
 

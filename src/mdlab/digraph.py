@@ -170,39 +170,33 @@ class MonomialDigraph:
 def build_digraph(ctx: FieldCtx, m: int, n: int) -> MonomialDigraph:
     """Construct D(q; m, n); exponents are normalized into {1, ..., q-1}.
 
-    Solves y2 = x1^m * y1^n - x2 for every (x1, x2, y1), so construction is
-    O(q^3) rather than a q^4 filter. Over a prime field the row of (x1, x2)
-    is built once for x2 = 0 as an int; raising x2 by one moves the single
-    target in each q-bit block y1 down by one mod q, a rotation of every
-    block done with whole-int operations.
+    Solves y2 = x1^m * y1^n - x2 for every (x1, x2, y1) in O(q^3) rather
+    than a q^4 filter. The row of (x1, 0) is one int with one target per
+    q-bit block y1; each next row comes from the last by whole-int
+    rotations. Stepping the code x2 to x2 + 1 takes its j lowest base-p
+    digits from p - 1 to 0 and raises digit j, each by 1 mod p, so it adds
+    t^0 + ... + t^j. Subtracting t^i from every target moves the runs of
+    p^i bits down one run in each block of p^(i+1) bits, run 0 wrapping to
+    the top: over a prime field, a one-bit rotation of every q-bit block.
     """
     q = ctx.q
     if q > caps.MAX_DIGRAPH_ORDER:
         raise CapExceeded(f"q = {q} exceeds dense-matrix cap {caps.MAX_DIGRAPH_ORDER}")
-    m = normalize_exponent(m, q)
-    n = normalize_exponent(n, q)
-    order = q * q
-    nbytes = (order + 7) >> 3
+    m, n = normalize_exponent(m, q), normalize_exponent(n, q)
+    p, order = ctx.p, q * q
+    nbytes, ones = (order + 7) >> 3, (1 << order) - 1
+    # digit i: run s = p^i, the lowest run of every (s * p)-bit block, its shift to the top
+    levels = [(s, ones // ((1 << s * p) - 1) * ((1 << s) - 1), s * (p - 1))
+              for s in (p**i for i in range(ctx.k))]
+    # after x2, rotate at each level i whose run p^i divides x2 + 1
+    steps = [[lv for lv in levels if (x2 + 1) % lv[0] == 0] for x2 in range(q)]
+    pm, pn = ([ctx.pow(x, e) for x in range(q)] for e in (m, n))
     rows = []
-    if ctx.k == 1:
-        pm = [pow(x, m, q) for x in range(q)]
-        pn = [pow(y, n, q) for y in range(q)]
-        starts = sum(1 << (y1 * q) for y1 in range(q))  # bit 0 of every block
-        for x1 in range(q):
-            r = sum(1 << (y1 * q + pm[x1] * pn[y1] % q) for y1 in range(q))
-            for _ in range(q):
-                rows.append(r.to_bytes(nbytes, "little"))
-                low = r & starts
-                r = ((r ^ low) >> 1) | (low << (q - 1))
-    else:
-        pm = [ctx.pow(x, m) for x in range(q)]
-        pn = [ctx.pow(y, n) for y in range(q)]
-        for x1 in range(q):
-            prods = [ctx.mul(pm[x1], pn[y1]) for y1 in range(q)]
-            for x2 in range(q):
-                row = bytearray(nbytes)
-                for y1 in range(q):
-                    t = y1 * q + ctx.sub(prods[y1], x2)
-                    row[t >> 3] |= 1 << (t & 7)
-                rows.append(bytes(row))
+    for x1 in range(q):
+        r = sum(1 << (y1 * q + ctx.mul(pm[x1], pn[y1])) for y1 in range(q))
+        for step in steps:
+            rows.append(r.to_bytes(nbytes, "little"))
+            for s, low_runs, wrap in step:
+                low = r & low_runs
+                r = ((r ^ low) >> s) | (low << wrap)
     return MonomialDigraph(ctx, m, n, tuple(rows))

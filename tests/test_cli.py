@@ -55,6 +55,17 @@ class TestBuild:
         assert "DOT export capped" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("target", [pytest.param("missing/x.dot", id="no-parent"),
+                                        pytest.param(".", id="directory")])
+    def test_dot_write_failure_prints_nothing(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, "build", "--p", "3", "--m", "1", "--n", "2",
+                             "--dot", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_extension_field(self, capsys):
         code, out, _ = run(capsys, "build", "--p", "2", "--k", "2", "--m", "1", "--n", "1")
         assert code == 0

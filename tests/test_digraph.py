@@ -144,12 +144,13 @@ def decode(row: bytes) -> list[int]:
     return MonomialDigraph(prime_field(3), 1, 1, (row,)).out_indices(0)
 
 
-def row_by_equation(q, m, n, x1, x2):
-    """Oracle row of (x1, x2) for a prime q: bit y1*q + y2 is set exactly
-    when x2 + y2 = x1^m * y1^n mod q."""
+def row_by_equation(ctx, m, n, x1, x2):
+    """Oracle row of (x1, x2), one target per y1 and no rotation: bit
+    y1*q + y2 is set exactly when y2 = x1^m * y1^n - x2 in the field."""
+    q = ctx.q
     row = bytearray((q * q + 7) >> 3)
     for y1 in range(q):
-        t = y1 * q + (pow(x1, m, q) * pow(y1, n, q) - x2) % q
+        t = y1 * q + ctx.sub(ctx.mul(ctx.pow(x1, m), ctx.pow(y1, n)), x2)
         row[t >> 3] |= 1 << (t & 7)
     return bytes(row)
 
@@ -187,19 +188,35 @@ class TestRowDecoder:
 
 
 class TestRotationBuild:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    # (p, k) of the extension fields checked row by row; a prime q is (q, 1)
+    EXTENSIONS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3),
+                  32: (2, 5)}
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+                                   4, 8, 9, 16, 25, 27, 32])
     def test_rows_match_arc_equation(self, q):
+        ctx = extension_field(*self.EXTENSIONS.get(q, (q, 1)))
         for m, n in {(1, 1), (2, 3), (q - 1, 1), (5, max(1, q - 2))}:
-            D = build_digraph(prime_field(q), m, n)
-            assert list(D.rows) == [row_by_equation(q, m, n, x1, x2)
+            D = build_digraph(ctx, m, n)
+            assert list(D.rows) == [row_by_equation(ctx, m, n, x1, x2)
                                     for x1 in range(q) for x2 in range(q)]
 
-    def test_spot_check_at_cap(self):
-        q, m, n = 181, 7, 49
-        D = build_digraph(prime_field(q), m, n)
+    @staticmethod
+    def spot_check(ctx, m, n):
+        """Every 97th row against the oracle, and q^3 arcs in all."""
+        q = ctx.q
+        D = build_digraph(ctx, m, n)
         assert D.arc_count == q**3
         for i in range(0, D.order, 97):
-            assert D.rows[i] == row_by_equation(q, m, n, *divmod(i, q))
+            assert D.rows[i] == row_by_equation(ctx, m, n, *divmod(i, q))
+
+    def test_spot_check_at_cap(self):
+        self.spot_check(prime_field(181), 7, 49)
+
+    # extension fields too large to check in full; up to six carry levels
+    @pytest.mark.parametrize("p,k", [(7, 2), (2, 6), (3, 4), (11, 2), (5, 3), (13, 2)])
+    def test_spot_check_extension_field(self, p, k):
+        self.spot_check(extension_field(p, k), 7, 49)
 
 
 class TestAdjacencyView:
