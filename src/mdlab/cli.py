@@ -60,20 +60,33 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget(args) -> int:
+    """--budget, which may only lower the default: it bounds the search."""
+    if args.budget > caps.DEFAULT_SEARCH_BUDGET:
+        raise CapExceeded(f"--budget {args.budget} exceeds cap "
+                          f"{caps.DEFAULT_SEARCH_BUDGET} expansions")
+    return args.budget
+
+
 def _write_atomic(path: str, write) -> None:
-    """write(handle) to a temp file beside path that replaces it only once complete."""
+    """write(handle) to a temp file beside path that replaces it only once
+    complete; a failed write is reported against path, not the temp file."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
+                                   suffix=".tmp")
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                write(handle)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _emit(report, args) -> None:
@@ -127,6 +140,7 @@ def _cmd_count_pattern(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    budget = _budget(args)
     ctx = _field(args)
     m1, n1 = args.d1
     m2, n2 = args.d2
@@ -135,7 +149,7 @@ def _cmd_iso(args) -> int:
     same_orbit = unit_orbit(ctx.q, D1.m, D1.n) == unit_orbit(ctx.q, D2.m, D2.n)
     print(f"unit orbits {'match' if same_orbit else 'differ'}")
 
-    decision = decide_iso(D1, D2, args.budget)
+    decision = decide_iso(D1, D2, budget)
     if decision.stage == POWER_MAP:
         print(f"isomorphic via power map k={decision.power_k}")
         print("certificate:", certificate_to_json(decision.certificate))
@@ -201,8 +215,9 @@ def _cmd_exercise(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    budget = _budget(args)
     ctx = _field(args)
-    report = run_conjecture_scan(ctx, budget=args.budget)
+    report = run_conjecture_scan(ctx, budget=budget)
     _emit(report, args)
     return report_exit_code(report)
 

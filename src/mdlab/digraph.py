@@ -4,9 +4,9 @@ The vertex (x1, x2) has index code(x1) * q + code(x2); the adjacency
 matrix is stored as one little-endian bitset row (a bytes object) per
 source vertex, so arc tests are single bit lookups and whole-row
 comparisons are memcmp. Rows are immutable and the digraph is safe to
-share across workers. The pattern census reads the rows, and those of the
-converse, as int bitmasks through `view`; the neighbor lists that color
-refinement reads are built and kept by iso, not here.
+share across workers. in_index_lists is the only transposition: converse()
+encodes it as rows, and the census reads it, the rows and the loops as int
+bitmasks through `view`; refinement's lists are kept on the digraph by iso.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ class MonomialDigraph:
         return [self.vertex_at(i) for i in self.loop_indices()]
 
     def in_index_lists(self) -> list[list[int]]:
-        """Sources per target index (the transposed adjacency as lists)."""
+        """Sources per target index, ascending: the only transposition."""
         incoming: list[list[int]] = [[] for _ in range(self.order)]
         for i in range(self.order):
             for j in self.out_indices(i):
@@ -127,24 +127,26 @@ class MonomialDigraph:
 
     @cached_property
     def view(self) -> AdjacencyView:
-        """The rows, the rows of the converse and the loops as int
+        """The rows, the in_index_lists and the loops (bit i of row i) as int
         bitmasks, for the pattern census; built on first use and kept. The
         census is capped at q <= caps.MAX_PATTERN_HOST_ORDER, so the view
         is never built near the dense-matrix cap."""
-        def masks(rows):
-            return tuple(int.from_bytes(row, "little") for row in rows)
-        return AdjacencyView(masks(self.rows), masks(self.converse().rows),
-                             sum(1 << i for i in self.loop_indices()))
+        out_masks = tuple(int.from_bytes(row, "little") for row in self.rows)
+        return AdjacencyView(out_masks,
+                             tuple(sum(1 << i for i in sources)
+                                   for sources in self.in_index_lists()),
+                             sum(1 << i for i, mask in enumerate(out_masks) if mask >> i & 1))
 
     def converse(self) -> "MonomialDigraph":
-        """Arc-reversed digraph; parameters recorded as (n, m)."""
+        """Arc-reversed digraph, rows from in_index_lists; parameters (n, m)."""
         nbytes = len(self.rows[0])
-        cols = [bytearray(nbytes) for _ in range(self.order)]
-        for i in range(self.order):
-            ibyte, ibit = i >> 3, 1 << (i & 7)
-            for j in self.out_indices(i):
-                cols[j][ibyte] |= ibit
-        return MonomialDigraph(self.ctx, self.n, self.m, tuple(bytes(c) for c in cols))
+        rows = []
+        for sources in self.in_index_lists():
+            row = bytearray(nbytes)
+            for i in sources:
+                row[i >> 3] |= 1 << (i & 7)
+            rows.append(bytes(row))
+        return MonomialDigraph(self.ctx, self.n, self.m, tuple(rows))
 
     def same_arcs(self, other: "MonomialDigraph") -> bool:
         return self.order == other.order and self.rows == other.rows

@@ -3,7 +3,7 @@
 Each scan produces a ScanReport: an ordered list of CheckRecords plus a
 per-kind summary and run metadata. Work items are independent, so the
 theorem and exercise scans can fan out across a process pool (worker
-count from MDL_THREADS, default the machine's CPU count); results are
+count from MDL_THREADS only, default the usable CPU count); results are
 buffered and sorted into lexicographic parameter order before assembly,
 which makes reports byte-identical regardless of schedule. Failing
 records never abort a scan.
@@ -93,23 +93,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """An explicit count as given; else MDL_THREADS or the CPU count,
-    never more than the CPUs this process may run on."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
-        return workers
+def _resolve_workers() -> int:
+    """MDL_THREADS, else the CPU count; never more than the CPUs this
+    process may run on."""
     env = os.environ.get("MDL_THREADS")
-    if env is not None:
-        count = int(env)
-        if count < 1:
-            raise ValueError(f"MDL_THREADS must be a positive integer, got {env!r}")
-        return min(count, _usable_cpus())
-    return _usable_cpus()
+    if env is None:
+        return _usable_cpus()
+    count = int(env)
+    if count < 1:
+        raise ValueError(f"MDL_THREADS must be a positive integer, got {env!r}")
+    return min(count, _usable_cpus())
 
 
-def _run_items(worker, items: Sequence, workers: int) -> list[CheckRecord]:
+def _run_items(worker, items: Sequence) -> list[CheckRecord]:
+    workers = _resolve_workers()
     if workers <= 1 or len(items) < 2:
         batches = map(worker, items)
     else:
@@ -183,8 +180,7 @@ def _theorem_worker(item: tuple[int, int, int, bool]) -> list[CheckRecord]:
     return records
 
 
-def run_theorem_scan(p_max: int, with_digraphs: bool = False,
-                     workers: int | None = None) -> ScanReport:
+def run_theorem_scan(p_max: int, with_digraphs: bool = False) -> ScanReport:
     """Root-count equality for every odd prime p <= p_max and every pair
     m, n in {1..p-1} with mn = 1 mod (p-1); with_digraphs additionally
     checks the digraph pattern counts and the count formula for p <= 13.
@@ -200,7 +196,7 @@ def run_theorem_scan(p_max: int, with_digraphs: bool = False,
         for (m, n) in _reciprocal_pairs(p)
         if m <= n
     ]
-    records = _run_items(_theorem_worker, items, _resolve_workers(workers))
+    records = _run_items(_theorem_worker, items)
     return _assemble(records, {
         "scan": "theorem", "p_max": p_max, "with_digraphs": with_digraphs,
     })
@@ -263,8 +259,7 @@ def _exercise_worker(item: tuple[int, int, int, int]) -> list[CheckRecord]:
     return records
 
 
-def run_exercise_scan(fields: Sequence[tuple[int, int]],
-                      workers: int | None = None) -> ScanReport:
+def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
     """Prime-power generalization: for each field, every reciprocal pair
     (m, n) mod (q-1) and every (a, b), the trinomials X^(m+1) + aX + b and
     X^(n+1) + aX + b^m must have equal distinct-root counts. One work
@@ -284,7 +279,7 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]],
     for p, k in fields:
         ctx = extension_field(p, k)  # validates p, k, and the field caps
         items.extend((p, k, m, n) for (m, n) in _reciprocal_pairs(ctx.q) if m <= n)
-    records = _run_items(_exercise_worker, items, _resolve_workers(workers))
+    records = _run_items(_exercise_worker, items)
     return _assemble(records, {
         "scan": "exercise",
         "fields": [f"{p}^{k}" for p, k in fields],

@@ -19,15 +19,14 @@ wall-clock, so runs are machine-independent.
 
 Each digraph's neighbor lists (the form refinement reads), refinement
 colors, cheap invariants and fingerprint are computed at most once, on
-first use by decide_iso, fingerprint or brute_force_iso, and kept in a
-weak-keyed cache until the digraph itself is dropped. The census reads
-the digraph's own bitmask view instead.
+first use by decide_iso, fingerprint or brute_force_iso, and kept as
+private attributes of the digraph, so they are dropped with it. The
+census reads the digraph's own bitmask view instead.
 """
 from __future__ import annotations
 
 import json
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -203,18 +202,13 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
     return _refine((D,), ([ranks[s] for s in seeds],))[0]
 
 
-# digraph -> {"lists" | "colors" | "cheap" | "print": value}. No value may
-# refer back to its digraph, or the weak key would never die.
-_invariants: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _cached(D: MonomialDigraph, name: str, compute):
     """compute(D), computed on the first ask for D's invariant name and kept
-    with D."""
-    entry = _invariants.setdefault(D, {})
-    if name not in entry:
-        entry[name] = compute(D)
-    return entry[name]
+    in D's own attributes as _iso_<name>, as cached_property keeps view."""
+    attrs, key = vars(D), f"_iso_{name}"
+    if key not in attrs:
+        attrs[key] = compute(D)
+    return attrs[key]
 
 
 def _neighbor_lists(D: MonomialDigraph):

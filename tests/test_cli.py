@@ -64,6 +64,8 @@ class TestBuild:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert str(path) in err  # the path given, not the temp file's
+        assert f"/.{path.name}." not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_extension_field(self, capsys):
@@ -299,6 +301,23 @@ class TestScans:
         assert out == ""
         assert f"argument --budget: must be >= 1, got {budget}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("iso", "--p", "2", "--k", "2", "--d1", "1,3", "--d2", "3,2"),
+        ("conjecture", "--p", "2", "--k", "2"),
+    ])
+    def test_budget_above_default_exits_2(self, capsys, monkeypatch, argv):
+        # --budget may only lower the default: it bounds the search
+        def no_build(*args):
+            raise AssertionError("a digraph was built")
+
+        monkeypatch.setattr(mdlab.cli, "build_digraph", no_build)
+        monkeypatch.setattr(mdlab.harness, "build_digraph", no_build)
+        budget = str(caps.DEFAULT_SEARCH_BUDGET + 1)
+        code, out, err = run(capsys, *argv, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --budget {budget} exceeds cap")
+
     def test_conjecture_budget_exhaustion_exit(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--p", "2", "--k", "2",
                            "--budget", "1")
@@ -319,6 +338,15 @@ class TestScans:
         assert err.startswith("error:")
         assert target.read_bytes() == b"previous report\n"
         assert [path.name for path in tmp_path.iterdir()] == ["conj.jsonl"]
+
+    def test_out_write_failure_names_given_path(self, capsys, tmp_path):
+        target = str(tmp_path / "missing" / "r.jsonl")
+        code, out, err = run(capsys, "theorem", "--pmax", "5", "--out", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert target in err  # the path given, not the temp file's
+        assert "/.r.jsonl." not in err
 
     def test_out_overwrites_on_success(self, capsys, tmp_path):
         target = tmp_path / "conj.jsonl"

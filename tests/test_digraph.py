@@ -134,6 +134,16 @@ class TestConverse:
         ctx = extension_field(p, k)
         assert build_digraph(ctx, m, n).converse().same_arcs(build_digraph(ctx, n, m))
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_converse_commutes_with_relabeling(self, p, k):
+        # a relabeled digraph's rows are not those of any build
+        ctx = extension_field(p, k)
+        D = build_digraph(ctx, 1, ctx.q - 2 if ctx.q > 2 else 1)
+        shuffled = list(range(D.order))
+        random.Random(ctx.q).shuffle(shuffled)
+        assert (permute_digraph(D, shuffled).converse().rows
+                == permute_digraph(D.converse(), shuffled).rows)
+
 
 def bits_of(row: bytes) -> list[int]:
     """Oracle: every set bit of a row, tested one position at a time."""
@@ -236,7 +246,7 @@ class TestAdjacencyView:
             assert all((in_masks[j] >> i & 1) == (out_masks[i] >> j & 1)
                        for i in order for j in order)
             assert loop_mask == sum(1 << i for i in order if G.has_arc_index(i, i))
-            # refinement's neighbor lists, kept in iso's cache
+            # refinement's neighbor lists, kept on the digraph by iso
             lists = _cached(G, "lists", _neighbor_lists)
             assert _cached(G, "lists", _neighbor_lists) is lists
             out_lists, in_lists = lists

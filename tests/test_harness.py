@@ -96,10 +96,11 @@ class TestTheoremScan:
             with pytest.raises(CapExceeded):
                 run_theorem_scan(p_max)
 
-    def test_mirrored_records_match_direct_counts(self):
+    def test_mirrored_records_match_direct_counts(self, monkeypatch):
         # each item emits (m, n) and (n, m); check every record, mirrored
         # ones included, against counts computed here one exponent at a time
-        report = run_theorem_scan(31, with_digraphs=True, workers=1)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        report = run_theorem_scan(31, with_digraphs=True)
         theorem = [r for r in report.records if r.check == "theorem"]
         assert any(r.params["m"] > r.params["n"] for r in theorem)
         for rec in theorem:
@@ -142,7 +143,7 @@ class TestExerciseScan:
             run_exercise_scan(fields)
 
     @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
-    def test_records_match_direct_counts(self, p, k):
+    def test_records_match_direct_counts(self, monkeypatch, p, k):
         # every record against its own two trinomials, each counted by both
         # methods; GF(8)'s pairs 2<->4 and 3<->5 come from mirrored items
         ctx = extension_field(p, k)
@@ -156,7 +157,8 @@ class TestExerciseScan:
                     params = {"p": p, "k": k, "q": ctx.q, "m": m, "n": n, "a": a, "b": b}
                     expected.append(("exercise", params,
                                      {"r_m": lhs.distinct, "r_n": rhs.distinct}, True))
-        report = run_exercise_scan([(p, k)], workers=1)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        report = run_exercise_scan([(p, k)])
         assert [(r.check, r.params, r.observed, r.passed) for r in report.records] == expected
 
     def test_count_disagreement_raises(self, monkeypatch):
@@ -169,8 +171,9 @@ class TestExerciseScan:
             return RootCount(found.distinct + 1, found.roots)
 
         monkeypatch.setattr(mdlab.harness, "distinct_root_count", off_by_one)
+        monkeypatch.setenv("MDL_THREADS", "1")
         with pytest.raises(MethodDisagreement, match="bruteforce found"):
-            run_exercise_scan([(2, 3)], workers=1)
+            run_exercise_scan([(2, 3)])
         assert counted == ["gcd"]
 
     def test_odd_specialization_matches_theorem(self):
@@ -255,24 +258,29 @@ class TestEmission:
     def test_work_order_independent(self, monkeypatch, order):
         run_items = mdlab.harness._run_items
 
-        def reordered(worker, items, workers):
+        def reordered(worker, items):
             items = list(items)
             if order == "reversed":
                 items.reverse()
             else:
                 random.Random(20261018).shuffle(items)
-            return run_items(worker, items, workers)
+            return run_items(worker, items)
 
-        scans = (lambda: run_theorem_scan(31, with_digraphs=True, workers=1),
-                 lambda: run_exercise_scan([(2, 2), (2, 3), (5, 1)], workers=1))
+        monkeypatch.setenv("MDL_THREADS", "1")
+        scans = (lambda: run_theorem_scan(31, with_digraphs=True),
+                 lambda: run_exercise_scan([(2, 2), (2, 3), (5, 1)]))
         expected = [jsonl_bytes(scan()) for scan in scans]
         monkeypatch.setattr(mdlab.harness, "_run_items", reordered)
         assert [jsonl_bytes(scan()) for scan in scans] == expected
 
-    def test_schedule_independent(self):
-        # GF(8) has mirrored pairs (2, 4) and (3, 5), emitted from one item each
-        serial = run_exercise_scan([(3, 2), (2, 3), (5, 1)], workers=1)
-        parallel = run_exercise_scan([(3, 2), (2, 3), (5, 1)], workers=4)
+    def test_schedule_independent(self, monkeypatch):
+        # GF(8) has mirrored pairs (2, 4) and (3, 5), emitted from one item
+        # each; four usable CPUs, so the pool runs four workers on any host
+        monkeypatch.setenv("MDL_THREADS", "1")
+        serial = run_exercise_scan([(3, 2), (2, 3), (5, 1)])
+        monkeypatch.setattr(mdlab.harness, "_usable_cpus", lambda: 4)
+        monkeypatch.setenv("MDL_THREADS", "4")
+        parallel = run_exercise_scan([(3, 2), (2, 3), (5, 1)])
         assert jsonl_bytes(serial) == jsonl_bytes(parallel)
 
     def test_csv_layout(self):
@@ -334,29 +342,28 @@ class TestWorkerConfig:
     def test_env_var_respected(self, monkeypatch):
         monkeypatch.setenv("MDL_THREADS", "2")
         via_env = run_exercise_scan([(3, 2)])
-        monkeypatch.delenv("MDL_THREADS")
-        serial = run_exercise_scan([(3, 2)], workers=1)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        serial = run_exercise_scan([(3, 2)])
         assert jsonl_bytes(via_env) == jsonl_bytes(serial)
 
     def test_env_clamped_to_usable_cpus(self, monkeypatch):
         from mdlab.harness import _resolve_workers
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("MDL_THREADS", "100000")
-        assert _resolve_workers(None) == 2
+        assert _resolve_workers() == 2
         monkeypatch.setenv("MDL_THREADS", "1")
-        assert _resolve_workers(None) == 1
+        assert _resolve_workers() == 1
         monkeypatch.delenv("MDL_THREADS")
-        assert _resolve_workers(None) == 2
-        assert _resolve_workers(5) == 5  # an explicit count is not clamped
+        assert _resolve_workers() == 2
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         from mdlab.harness import _resolve_workers
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         monkeypatch.setenv("MDL_THREADS", "100000")
-        assert _resolve_workers(None) == 3
+        assert _resolve_workers() == 3
         monkeypatch.delenv("MDL_THREADS")
-        assert _resolve_workers(None) == 3
+        assert _resolve_workers() == 3
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("MDL_THREADS", "0")
