@@ -4,9 +4,11 @@ The vertex (x1, x2) has index code(x1) * q + code(x2); the adjacency
 matrix is stored as one little-endian bitset row (a bytes object) per
 source vertex, so arc tests are single bit lookups and whole-row
 comparisons are memcmp. Rows are immutable and the digraph is safe to
-share across workers. in_index_lists is the only transposition: converse()
-encodes it as rows, and the census reads it, the rows and the loops as int
-bitmasks through `view`; refinement's lists are kept on the digraph by iso.
+share across workers. _transpose is the only transposition. in_index_lists
+feeds it every row's targets; converse() encodes the result as rows, and the
+census reads it, the rows and the loops as int bitmasks through `view`.
+Refinement's lists, kept on the digraph by iso, transpose the out-lists iso
+has already decoded.
 """
 from __future__ import annotations
 
@@ -27,6 +29,17 @@ _BYTE_BITS_FROM_END = tuple(tuple(b - 8 for b in range(8) if (v >> b) & 1)
 # bytes.translate table: 0 for a zero byte, 1 for any other
 _NONZERO = bytes(1 if v else 0 for v in range(256))
 _inc = (1).__add__
+
+
+def _transpose(out_lists, order: int) -> list[list[int]]:
+    """Sources per target index, ascending, from the targets of each
+    source index in turn: the only transposition. Callers that already
+    hold decoded out-lists pass them, so no row is decoded twice."""
+    incoming: list[list[int]] = [[] for _ in range(order)]
+    for i, targets in enumerate(out_lists):
+        for j in targets:
+            incoming[j].append(i)
+    return incoming
 
 
 def normalize_exponent(e: int, q: int) -> int:
@@ -118,12 +131,9 @@ class MonomialDigraph:
         return [self.vertex_at(i) for i in self.loop_indices()]
 
     def in_index_lists(self) -> list[list[int]]:
-        """Sources per target index, ascending: the only transposition."""
-        incoming: list[list[int]] = [[] for _ in range(self.order)]
-        for i in range(self.order):
-            for j in self.out_indices(i):
-                incoming[j].append(i)
-        return incoming
+        """Sources per target index, ascending: _transpose of every row's
+        out_indices."""
+        return _transpose(map(self.out_indices, range(self.order)), self.order)
 
     @cached_property
     def view(self) -> AdjacencyView:

@@ -14,8 +14,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 from typing import IO, Iterable, Sequence
@@ -110,6 +108,11 @@ def _run_items(worker, items: Sequence) -> list[CheckRecord]:
     if workers <= 1 or len(items) < 2:
         batches = map(worker, items)
     else:
+        # imported here, not at module level: concurrent.futures pulls in
+        # multiprocessing and logging, which a command with no pool never uses
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
                 chunk = max(1, len(items) // (workers * 4))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import caps
-from .digraph import MonomialDigraph, Vertex
+from .digraph import MonomialDigraph, Vertex, _transpose
 from .errors import (
     CapExceeded,
     CongruenceFailed,
@@ -215,8 +215,8 @@ def _neighbor_lists(D: MonomialDigraph):
     """(out_lists, in_lists): D's targets per source and sources per target
     as index tuples, the form refinement reads. Far larger than the bitset
     rows (about 285 MB at q = 181), so only refinement builds them."""
-    return (tuple(tuple(D.out_indices(i)) for i in range(D.order)),
-            tuple(map(tuple, D.in_index_lists())))
+    out_lists = tuple(tuple(D.out_indices(i)) for i in range(D.order))
+    return out_lists, tuple(map(tuple, _transpose(out_lists, D.order)))
 
 
 @dataclass(frozen=True)
