@@ -1,4 +1,4 @@
-"""Desk-scale size caps, shared by all modules and echoed into report metadata."""
+"""Desk-scale size caps, shared by all modules."""
 from __future__ import annotations
 
 # Finite fields
@@ -27,8 +27,3 @@ MAX_THEOREM_PMAX = 700            # largest p_max of the theorem scan
 # Isomorphism search
 MAX_CONJECTURE_ORDER = 13         # q cap for the exhaustive conjecture scan
 DEFAULT_SEARCH_BUDGET = 10_000    # individualization-refinement expansions
-
-
-def as_dict() -> dict[str, int]:
-    """Every cap above, lower-cased, in the order defined."""
-    return {name.lower(): value for name, value in globals().items() if name.isupper()}

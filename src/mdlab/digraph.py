@@ -4,11 +4,12 @@ The vertex (x1, x2) has index code(x1) * q + code(x2); the adjacency
 matrix is stored as one little-endian bitset row (a bytes object) per
 source vertex, so arc tests are single bit lookups and whole-row
 comparisons are memcmp. Rows are immutable and the digraph is safe to
-share across workers. _transpose is the only transposition. in_index_lists
-feeds it every row's targets; converse() encodes the result as rows, and the
-census reads it, the rows and the loops as int bitmasks through `view`.
-Refinement's lists, kept on the digraph by iso, transpose the out-lists iso
-has already decoded.
+share across workers. This module alone derives lists from the rows:
+`neighbor_lists` decodes each row once and transposes once, and keeps the
+out-lists and in-lists on the digraph. Refinement in iso reads both;
+converse() encodes the in-lists as rows, and the census reads them, the
+rows and the loops as int bitmasks through `view`. The lists take about
+285 MB at q = 181, and converse() leaves them cached on its source digraph.
 """
 from __future__ import annotations
 
@@ -29,17 +30,6 @@ _BYTE_BITS_FROM_END = tuple(tuple(b - 8 for b in range(8) if (v >> b) & 1)
 # bytes.translate table: 0 for a zero byte, 1 for any other
 _NONZERO = bytes(1 if v else 0 for v in range(256))
 _inc = (1).__add__
-
-
-def _transpose(out_lists, order: int) -> list[list[int]]:
-    """Sources per target index, ascending, from the targets of each
-    source index in turn: the only transposition. Callers that already
-    hold decoded out-lists pass them, so no row is decoded twice."""
-    incoming: list[list[int]] = [[] for _ in range(order)]
-    for i, targets in enumerate(out_lists):
-        for j in targets:
-            incoming[j].append(i)
-    return incoming
 
 
 def normalize_exponent(e: int, q: int) -> int:
@@ -130,10 +120,22 @@ class MonomialDigraph:
         """Vertices carrying loops, sorted by index; always exactly q."""
         return [self.vertex_at(i) for i in self.loop_indices()]
 
-    def in_index_lists(self) -> list[list[int]]:
-        """Sources per target index, ascending: _transpose of every row's
-        out_indices."""
-        return _transpose(map(self.out_indices, range(self.order)), self.order)
+    @cached_property
+    def neighbor_lists(self) -> tuple[tuple, tuple]:
+        """(out_lists, in_lists): the targets of each source and the sources
+        of each target, as ascending index tuples. Each row is decoded once
+        and the only transposition runs once; built on first use and kept."""
+        out_lists = tuple(tuple(self.out_indices(i)) for i in range(self.order))
+        incoming: list[list[int]] = [[] for _ in range(self.order)]
+        for i, targets in enumerate(out_lists):
+            for j in targets:
+                incoming[j].append(i)
+        return out_lists, tuple(map(tuple, incoming))
+
+    def in_index_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Sources per target index, ascending: the in-lists of
+        neighbor_lists."""
+        return self.neighbor_lists[1]
 
     @cached_property
     def view(self) -> AdjacencyView:
@@ -148,7 +150,8 @@ class MonomialDigraph:
                              sum(1 << i for i, mask in enumerate(out_masks) if mask >> i & 1))
 
     def converse(self) -> "MonomialDigraph":
-        """Arc-reversed digraph, rows from in_index_lists; parameters (n, m)."""
+        """Arc-reversed digraph, rows from in_index_lists, which stay cached
+        on this digraph; parameters (n, m)."""
         nbytes = len(self.rows[0])
         rows = []
         for sources in self.in_index_lists():

@@ -200,10 +200,6 @@ class FieldCtx:
     q: int
     modulus: Coeffs | None  # monic, length k + 1; None for prime fields
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.k == 1
-
     def element(self, value: int) -> int:
         """Canonicalize an int into an element code.
 

@@ -79,7 +79,7 @@ def _assemble(records: Iterable[CheckRecord], meta: dict) -> ScanReport:
         slot = summary.setdefault(rec.check, {"total": 0, "passed": 0, "failed": 0})
         slot["total"] += 1
         slot["passed" if rec.passed else "failed"] += 1
-    base_meta = {"tool": "mdlab", "version": __version__, "caps": caps.as_dict()}
+    base_meta = {"tool": "mdlab", "version": __version__}
     base_meta.update(meta)
     return ScanReport(records=ordered, summary=summary, meta=base_meta)
 
@@ -97,7 +97,10 @@ def _resolve_workers() -> int:
     env = os.environ.get("MDL_THREADS")
     if env is None:
         return _usable_cpus()
-    count = int(env)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
     if count < 1:
         raise ValueError(f"MDL_THREADS must be a positive integer, got {env!r}")
     return min(count, _usable_cpus())

@@ -17,11 +17,12 @@ fresh color and refines both jointly, pruning a branch as soon as their
 signatures differ. The budget is counted in these expansions, not
 wall-clock, so runs are machine-independent.
 
-Each digraph's neighbor lists (the form refinement reads), refinement
-colors, cheap invariants and fingerprint are computed at most once, on
-first use by decide_iso, fingerprint or brute_force_iso, and kept as
-private attributes of the digraph, so they are dropped with it. The
-census reads the digraph's own bitmask view instead.
+Refinement reads each digraph's out-lists and in-lists from
+`MonomialDigraph.neighbor_lists`, which the digraph module builds and
+keeps. Each digraph's refinement colors, cheap invariants and fingerprint
+are computed at most once, on first use by decide_iso, fingerprint or
+brute_force_iso, and kept as private attributes of the digraph, so they
+are dropped with it.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import caps
-from .digraph import MonomialDigraph, Vertex, _transpose
+from .digraph import MonomialDigraph, Vertex
 from .errors import (
     CapExceeded,
     CongruenceFailed,
@@ -172,7 +173,7 @@ def _refine(digraphs, colorings):
     while True:
         sigs = []
         for D, colors in zip(digraphs, colorings):
-            out_lists, in_lists = _cached(D, "lists", _neighbor_lists)
+            out_lists, in_lists = D.neighbor_lists
             sigs.append([
                 (
                     colors[v],
@@ -196,7 +197,7 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
     (loop?, out-degree, in-degree). Color ids are assigned in sorted
     signature order each round, so isomorphic digraphs get identical
     color multisets."""
-    out_lists, in_lists = _cached(D, "lists", _neighbor_lists)
+    out_lists, in_lists = D.neighbor_lists
     seeds = [(i in out_lists[i], len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
     ranks = {s: c for c, s in enumerate(sorted(set(seeds)))}
     return _refine((D,), ([ranks[s] for s in seeds],))[0]
@@ -209,14 +210,6 @@ def _cached(D: MonomialDigraph, name: str, compute):
     if key not in attrs:
         attrs[key] = compute(D)
     return attrs[key]
-
-
-def _neighbor_lists(D: MonomialDigraph):
-    """(out_lists, in_lists): D's targets per source and sources per target
-    as index tuples, the form refinement reads. Far larger than the bitset
-    rows (about 285 MB at q = 181), so only refinement builds them."""
-    out_lists = tuple(tuple(D.out_indices(i)) for i in range(D.order))
-    return out_lists, tuple(map(tuple, _transpose(out_lists, D.order)))
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ class Fingerprint:
 def cheap_invariants(D: MonomialDigraph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """The fingerprint without its pattern census: (loop count, 2-cycle
     count, refinement histogram)."""
-    out_lists, _ = _cached(D, "lists", _neighbor_lists)
+    out_lists, _ = D.neighbor_lists
     two_cycles = sum(
         1 for i, targets in enumerate(out_lists)
         for j in targets if j > i and D.has_arc_index(j, i)

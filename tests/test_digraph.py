@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mdlab.errors import CapExceeded, InvalidExponent
 from mdlab.digraph import MonomialDigraph, build_digraph
 from mdlab.field import extension_field, prime_field
-from mdlab.iso import _cached, _neighbor_lists, permute_digraph
+from mdlab.iso import decide_iso, fingerprint, permute_digraph
 
 # All 27 arcs of D(3;1,2), listed vertex by vertex; each entry was
 # hand-checked against the arc equation x2 + y2 = x1 * y1^2 over GF(3).
@@ -246,10 +246,10 @@ class TestAdjacencyView:
             assert all((in_masks[j] >> i & 1) == (out_masks[i] >> j & 1)
                        for i in order for j in order)
             assert loop_mask == sum(1 << i for i in order if G.has_arc_index(i, i))
-            # refinement's neighbor lists, kept on the digraph by iso
-            lists = _cached(G, "lists", _neighbor_lists)
-            assert _cached(G, "lists", _neighbor_lists) is lists
-            out_lists, in_lists = lists
+            # the neighbor lists refinement reads, and the in-lists the view reads
+            out_lists, in_lists = G.neighbor_lists
+            assert G.neighbor_lists is G.neighbor_lists
+            assert G.in_index_lists() is G.neighbor_lists[1]
             assert [list(t) for t in out_lists] == [G.out_indices(i) for i in order]
             transpose = {(j, i) for i in order for j in G.out_indices(i)}
             assert {(j, i) for j, sources in enumerate(in_lists) for i in sources} == transpose
@@ -258,6 +258,22 @@ class TestAdjacencyView:
     def test_view_is_built_once(self):
         D = build_digraph(prime_field(5), 1, 2)
         assert D.view is D.view
+
+    def test_rows_decoded_once(self, monkeypatch):
+        # a cross-orbit pair that runs refinement, the census and the search:
+        # each row is decoded once, for the neighbor lists all three read
+        decoded = []
+        out_indices = MonomialDigraph.out_indices
+        def counted(self, i):
+            decoded.append(self)
+            return out_indices(self, i)
+        monkeypatch.setattr(MonomialDigraph, "out_indices", counted)
+        ctx = extension_field(2, 2)
+        D1, D2 = build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 1)
+        assert decide_iso(D1, D2).stage == "search"
+        fingerprint(D1)
+        fingerprint(D2)
+        assert [sum(G is D for G in decoded) for D in (D1, D2)] == [D1.order, D2.order]
 
 
 class TestLoopVertices:
