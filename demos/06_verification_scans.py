@@ -5,6 +5,7 @@ Each scan returns structured records; emit_report turns them into JSONL
 or CSV, byte-identical across reruns and worker schedules.
 """
 import io
+from collections import Counter
 
 from mdlab import (
     emit_report,
@@ -15,21 +16,30 @@ from mdlab import (
     run_theorem_scan,
 )
 
+
+def pass_counts(report):
+    """(check, passed) -> number of records: the per-check tally of a scan."""
+    return dict(Counter((r.check, r.passed) for r in report.records))
+
+
 # Reciprocal-exponent root counts for every odd prime up to 31, with the
 # digraph cross-checks added where the digraphs are cheap (p <= 13).
 theorem = run_theorem_scan(31, with_digraphs=True)
-print("theorem scan:", theorem.summary)
+print("theorem scan:", pass_counts(theorem))
 
 # The prime-power generalization, every (m, n, a, b) combination.
 exercise = run_exercise_scan([(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
-print("exercise scan:", exercise.summary)
+print("exercise scan:", pass_counts(exercise))
 
-# Unit-orbit consistency for all digraph pairs over GF(4) and GF(5).
+# Unit-orbit consistency for all digraph pairs over GF(4) and GF(5). The
+# verdict is the `conjecture` record: it passes, or its witness names a
+# cross-orbit isomorphic pair.
 for ctx in (extension_field(2, 2), prime_field(5)):
     scan = run_conjecture_scan(ctx)
-    summary = next(r for r in scan.records if r.check == "conjecture")
-    print(f"conjecture scan q={ctx.q}: verdict={scan.meta['verdict']}, "
-          f"observed={summary.observed}")
+    verdict = next(r for r in scan.records if r.check == "conjecture")
+    print(f"conjecture scan q={ctx.q}: "
+          f"verdict={'CONSISTENT' if verdict.passed else 'COUNTEREXAMPLE'}, "
+          f"observed={verdict.observed}")
 
 # Reports are plain line-oriented text.
 buf = io.StringIO()

@@ -46,15 +46,21 @@ def _field(args) -> FieldCtx:
     return extension_field(args.p, args.k)  # rejects k < 1
 
 
+# argparse prints an ArgumentTypeError's message, but of any other error
+# only the name of the type function
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected M,N but got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        m, n = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected M,N but got {text!r}") from None
+    return m, n
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -183,8 +189,11 @@ def _cmd_theorem(args) -> int:
 def _parse_prime_power(token: str) -> tuple[int, int]:
     """Accept explicit p^k or a bare prime power like 8 (-> 2^3)."""
     if "^" in token:
-        p, k = token.split("^")
-        return int(p), int(k)
+        try:
+            p, k = map(int, token.split("^"))
+        except ValueError:
+            raise ValueError(f"{token!r} is not a prime power") from None
+        return p, k
     q = int(token)
     if q < 2:
         raise ValueError(f"{token!r} is not a prime power")

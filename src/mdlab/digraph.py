@@ -4,11 +4,12 @@ The vertex (x1, x2) has index code(x1) * q + code(x2); the adjacency
 matrix is stored as one little-endian bitset row (a bytes object) per
 source vertex, so arc tests are single bit lookups and whole-row
 comparisons are memcmp. Rows are immutable and the digraph is safe to
-share across workers. This module alone derives lists from the rows:
+share across workers. This module alone encodes and decodes rows:
 `neighbor_lists` decodes each row once and transposes once, and keeps the
-out-lists and in-lists on the digraph. Refinement in iso reads both;
-converse() encodes the in-lists as rows, and the census reads them, the
-rows and the loops as int bitmasks through `view`. The lists take about
+out-lists and in-lists on the digraph; relabeled_row() encodes the rows of
+a relabeled copy (for verify_iso and permute_digraph) and converse() the
+in-lists. Refinement in iso reads both lists, and the census reads the
+in-lists, the rows and the loops as int bitmasks through `view`. The lists take about
 285 MB at q = 181, and converse() leaves them cached on its source digraph.
 """
 from __future__ import annotations
@@ -148,6 +149,15 @@ class MonomialDigraph:
                              tuple(sum(1 << i for i in sources)
                                    for sources in self.in_index_lists()),
                              sum(1 << i for i, mask in enumerate(out_masks) if mask >> i & 1))
+
+    def relabeled_row(self, u: int, mapping) -> bytes:
+        """The bitset row of mapping[u] in the copy of this digraph relabeled
+        by mapping: the images under mapping of the targets of u."""
+        row = bytearray(len(self.rows[0]))
+        for j in self.out_indices(u):
+            t = mapping[j]
+            row[t >> 3] |= 1 << (t & 7)
+        return bytes(row)
 
     def converse(self) -> "MonomialDigraph":
         """Arc-reversed digraph, rows from in_index_lists, which stay cached

@@ -1,12 +1,13 @@
 """Batch verification scans and deterministic report emission.
 
-Each scan produces a ScanReport: an ordered list of CheckRecords plus a
-per-kind summary and run metadata. Work items are independent, so the
-theorem and exercise scans can fan out across a process pool (worker
-count from MDL_THREADS only, default the usable CPU count); results are
-buffered and sorted into lexicographic parameter order before assembly,
-which makes reports byte-identical regardless of schedule. Failing
-records never abort a scan.
+Each scan produces a ScanReport: its CheckRecords, sorted into
+lexicographic parameter order, and nothing else; a scan's verdict is a
+record too (the conjecture scan's `conjecture` record). Work items are
+independent, so the theorem and exercise scans can fan out across a
+process pool (worker count from MDL_THREADS only, default the usable CPU
+count); results are buffered and sorted before assembly, which makes
+reports byte-identical regardless of schedule. Failing records never
+abort a scan.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 from . import caps
-from ._version import __version__
 from .digraph import build_digraph
 from .errors import CapExceeded, IoFailure, MethodDisagreement, WorkerPoolFailed
 from .field import FieldCtx, extension_field, prime_field, _smallest_factor
@@ -61,8 +61,6 @@ class CheckRecord:
 @dataclass
 class ScanReport:
     records: list[CheckRecord]
-    summary: dict[str, dict[str, int]]
-    meta: dict
 
     @property
     def all_passed(self) -> bool:
@@ -72,16 +70,8 @@ class ScanReport:
         return [r for r in self.records if not r.passed]
 
 
-def _assemble(records: Iterable[CheckRecord], meta: dict) -> ScanReport:
-    ordered = sorted(records, key=CheckRecord.sort_key)
-    summary: dict[str, dict[str, int]] = {}
-    for rec in ordered:
-        slot = summary.setdefault(rec.check, {"total": 0, "passed": 0, "failed": 0})
-        slot["total"] += 1
-        slot["passed" if rec.passed else "failed"] += 1
-    base_meta = {"tool": "mdlab", "version": __version__}
-    base_meta.update(meta)
-    return ScanReport(records=ordered, summary=summary, meta=base_meta)
+def _assemble(records: Iterable[CheckRecord]) -> ScanReport:
+    return ScanReport(sorted(records, key=CheckRecord.sort_key))
 
 
 def _usable_cpus() -> int:
@@ -202,10 +192,7 @@ def run_theorem_scan(p_max: int, with_digraphs: bool = False) -> ScanReport:
         for (m, n) in _reciprocal_pairs(p)
         if m <= n
     ]
-    records = _run_items(_theorem_worker, items)
-    return _assemble(records, {
-        "scan": "theorem", "p_max": p_max, "with_digraphs": with_digraphs,
-    })
+    return _assemble(_run_items(_theorem_worker, items))
 
 
 # --- exercise scan ---
@@ -285,11 +272,7 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
     for p, k in fields:
         ctx = extension_field(p, k)  # validates p, k, and the field caps
         items.extend((p, k, m, n) for (m, n) in _reciprocal_pairs(ctx.q) if m <= n)
-    records = _run_items(_exercise_worker, items)
-    return _assemble(records, {
-        "scan": "exercise",
-        "fields": [f"{p}^{k}" for p, k in fields],
-    })
+    return _assemble(_run_items(_exercise_worker, items))
 
 
 # --- conjecture scan ---
@@ -299,8 +282,10 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
 
     Every pair goes through decide_iso. Within-orbit pairs must admit a
     power-map certificate; cross-orbit pairs with equal fingerprints go to
-    budgeted brute-force search and must come back non-isomorphic. Runs
-    serially; q is capped so the whole scan is desk-scale.
+    budgeted brute-force search and must come back non-isomorphic. The
+    verdict is the `conjecture` record: it passes, or its witness names
+    the first cross-orbit isomorphic pair. Runs serially; q is capped so
+    the whole scan is desk-scale.
     """
     q = ctx.q
     if q > caps.MAX_CONJECTURE_ORDER:
@@ -342,25 +327,18 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
             exhausted += 1
         records.append(CheckRecord("iso", params, observed, ok, witness))
 
-    class_count = len(set(orbits.values()))
-    verdict_ok = counterexample is None
     records.append(CheckRecord(
         check="conjecture",
         params={"p": ctx.p, "k": ctx.k, "q": q},
         observed={
             "digraph_count": len(keys),
-            "class_count": class_count,
+            "class_count": len(set(orbits.values())),
             "exhausted": exhausted,
         },
-        passed=verdict_ok,
+        passed=counterexample is None,
         witness=counterexample,
     ))
-    return _assemble(records, {
-        "scan": "conjecture",
-        "q": q,
-        "budget": budget,
-        "verdict": "CONSISTENT" if verdict_ok else "COUNTEREXAMPLE",
-    })
+    return _assemble(records)
 
 
 # --- emission ---

@@ -17,12 +17,14 @@ fresh color and refines both jointly, pruning a branch as soon as their
 signatures differ. The budget is counted in these expansions, not
 wall-clock, so runs are machine-independent.
 
-Refinement reads each digraph's out-lists and in-lists from
-`MonomialDigraph.neighbor_lists`, which the digraph module builds and
-keeps. Each digraph's refinement colors, cheap invariants and fingerprint
-are computed at most once, on first use by decide_iso, fingerprint or
-brute_force_iso, and kept as private attributes of the digraph, so they
-are dropped with it.
+Only the digraph module encodes and decodes bitset rows. Refinement
+reads each digraph's out-lists and in-lists from
+`MonomialDigraph.neighbor_lists`, which it builds and keeps, and
+verify_iso and permute_digraph compare and assemble the rows that
+`MonomialDigraph.relabeled_row` encodes. Each digraph's refinement
+colors, cheap invariants and fingerprint are computed at most once, on
+first use by decide_iso, fingerprint or brute_force_iso, and kept as
+private attributes of the digraph, so they are dropped with it.
 """
 from __future__ import annotations
 
@@ -62,16 +64,6 @@ def _check_permutation(mapping, order: int) -> None:
         seen[t] = 1
 
 
-def _relabeled_row(D: MonomialDigraph, u: int, mapping) -> bytes:
-    """The bitset row of mapping[u] in the relabeled copy of D: the images
-    under mapping of the targets of u."""
-    row = bytearray(len(D.rows[0]))
-    for j in D.out_indices(u):
-        t = mapping[j]
-        row[t >> 3] |= 1 << (t & 7)
-    return bytes(row)
-
-
 def verify_iso(D1: MonomialDigraph, D2: MonomialDigraph, mapping) -> VerifyResult:
     """Exhaustively check that mapping preserves adjacency and
     non-adjacency; on failure reports the first violating source pair in
@@ -80,7 +72,7 @@ def verify_iso(D1: MonomialDigraph, D2: MonomialDigraph, mapping) -> VerifyResul
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
     _check_permutation(mapping, D1.order)
     for u in range(D1.order):
-        if _relabeled_row(D1, u, mapping) != D2.rows[mapping[u]]:
+        if D1.relabeled_row(u, mapping) != D2.rows[mapping[u]]:
             mu = mapping[u]
             for v in range(D1.order):
                 if D1.has_arc_index(u, v) != D2.has_arc_index(mu, mapping[v]):
@@ -362,7 +354,7 @@ def permute_digraph(D: MonomialDigraph, mapping) -> MonomialDigraph:
     _check_permutation(mapping, D.order)
     rows = [b""] * D.order
     for u in range(D.order):
-        rows[mapping[u]] = _relabeled_row(D, u, mapping)
+        rows[mapping[u]] = D.relabeled_row(u, mapping)
     return MonomialDigraph(D.ctx, D.m, D.n, tuple(rows))
 
 

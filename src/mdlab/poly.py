@@ -13,8 +13,9 @@ fields (k = 1) work on plain residues with inline ``% p``. Extension
 fields bind the field's Zech-logarithm tables as locals: a product of
 two coefficients is a sum of logs, a sum goes through ``zech``, and each
 remainder step folds the divisor's lead inverse and the sign into one log
-offset per divisor term. Products and remainders skip zero coefficients,
-so the products by X in ``poly_powmod`` cost little.
+offset per divisor term. Products and remainders skip zero coefficients.
+``poly_powmod`` multiplies by X as a one-place shift, with no product at
+all, so only its squarings go through ``mul``.
 
 Evaluation is Horner's rule over the nonzero terms only, on both kinds,
 with each distinct gap power computed once per point (a product of logs
@@ -396,7 +397,8 @@ def poly_powmod(ctx: FieldCtx, base: Poly, e: int, modulus: Poly) -> Poly:
     """base**e reduced modulo modulus, by left-to-right binary
     exponentiation: below the top bit of e, each bit squares the running
     result and each set bit multiplies it by the reduced base, which stays
-    as short as the caller gave it (X when counting roots)."""
+    as short as the caller gave it. When that base is X (counting roots,
+    any modulus of degree >= 2) the product is a one-place shift."""
     if not modulus:
         raise ZeroModulus("powmod modulo the zero polynomial")
     if len(modulus) - 1 < 1:
@@ -406,11 +408,13 @@ def poly_powmod(ctx: FieldCtx, base: Poly, e: int, modulus: Poly) -> Poly:
     if e == 0:
         return poly_mod(ctx, ONE, modulus)
     base = poly_mod(ctx, base, modulus)
+    by_x = base == X
     result = base
     for bit in bin(e)[3:]:
         result = poly_mod(ctx, mul(ctx, result, result), modulus)
         if bit == "1":
-            result = poly_mod(ctx, mul(ctx, result, base), modulus)
+            product = (0, *result) if by_x else mul(ctx, result, base)
+            result = poly_mod(ctx, product, modulus)
     return result
 
 

@@ -363,6 +363,19 @@ class TestScans:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,token", [
+        (("iso", "--p", "5", "--d1", "1,2,3", "--d2", "3,2"), "1,2,3"),
+        (("iso", "--p", "5", "--d1", "a,2", "--d2", "3,2"), "a,2"),
+        (("conjecture", "--p", "3", "--budget", "abc"), "abc"),
+        (("exercise", "--fields", "2^3^4"), "2^3^4"),
+    ])
+    def test_input_error_names_the_token(self, capsys, argv, token):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert repr(token) in err
+        assert not any(name in err for name in ("_parse_pair", "_positive_int", "unpack"))
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["theorem"]) == 2  # missing --pmax
         capsys.readouterr()

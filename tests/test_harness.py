@@ -192,7 +192,7 @@ class TestConjectureScan:
     def test_gf5(self, q, digraph_count, class_count):
         p, k = {5: (5, 1), 9: (3, 2), 11: (11, 1)}[q]
         report = run_conjecture_scan(extension_field(p, k))
-        assert report.meta["verdict"] == "CONSISTENT"
+        assert next(r for r in report.records if r.check == "conjecture").passed
         summary = [r for r in report.records if r.check == "conjecture"]
         assert len(summary) == 1
         assert summary[0].observed == {
@@ -204,7 +204,7 @@ class TestConjectureScan:
 
     def test_gf3_converse_pair_refuted(self):
         report = run_conjecture_scan(prime_field(3))
-        assert report.meta["verdict"] == "CONSISTENT"
+        assert next(r for r in report.records if r.check == "conjecture").passed
         summary = [r for r in report.records if r.check == "conjecture"][0]
         assert summary.observed["class_count"] == 4
         cross = [r for r in report.records
@@ -216,7 +216,7 @@ class TestConjectureScan:
 
     def test_gf4(self):
         report = run_conjecture_scan(extension_field(2, 2))
-        assert report.meta["verdict"] == "CONSISTENT"
+        assert next(r for r in report.records if r.check == "conjecture").passed
         summary = [r for r in report.records if r.check == "conjecture"][0]
         assert summary.observed["class_count"] == 5
         assert report.all_passed
@@ -311,7 +311,7 @@ class TestExitCodes:
         from mdlab.harness import CheckRecord, _assemble
         failing = CheckRecord("theorem", {"p": 5, "m": 1, "n": 1},
                               {"r_m": 0, "r_n": 1}, False, "observed mismatch")
-        report = _assemble([failing], {})
+        report = _assemble([failing])
         assert report_exit_code(report) == 1
 
     def test_failure_outranks_exhaustion(self):
@@ -322,7 +322,7 @@ class TestExitCodes:
             CheckRecord("iso", {"p": 5, "m": 1, "n": 2},
                         {"m2": 2, "n2": 1, "decided": 1, "isomorphic": 1}, False, "bad"),
         ]
-        assert report_exit_code(_assemble(records, {})) == 1
+        assert report_exit_code(_assemble(records)) == 1
 
 
 class TestWorkerConfig:
