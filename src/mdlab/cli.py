@@ -186,6 +186,13 @@ def _cmd_theorem(args) -> int:
     return report_exit_code(report)
 
 
+def _bare_order(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not a prime power") from None
+
+
 def _parse_prime_power(token: str) -> tuple[int, int]:
     """Accept explicit p^k or a bare prime power like 8 (-> 2^3)."""
     if "^" in token:
@@ -194,16 +201,14 @@ def _parse_prime_power(token: str) -> tuple[int, int]:
         except ValueError:
             raise ValueError(f"{token!r} is not a prime power") from None
         return p, k
-    q = int(token)
+    q = _bare_order(token)
     if q < 2:
         raise ValueError(f"{token!r} is not a prime power")
     p = _smallest_factor(q) or q
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    k = 1
+    while p**k < q:
         k += 1
-    if rest != 1:
+    if p**k != q:
         raise ValueError(f"{q} is not a prime power")
     return p, k
 
@@ -214,7 +219,7 @@ def _cmd_exercise(args) -> int:
         tok = tok.strip()
         # a bare order over the cap is refused before it is factored: trial
         # division of a large prime would run for hours
-        if "^" not in tok and int(tok) > caps.MAX_EXERCISE_ORDER:
+        if "^" not in tok and _bare_order(tok) > caps.MAX_EXERCISE_ORDER:
             raise CapExceeded(f"exercise scan over GF({tok}) exceeds cap "
                               f"q <= {caps.MAX_EXERCISE_ORDER}")
         fields.append(_parse_prime_power(tok))

@@ -32,7 +32,7 @@ from .iso import (
     decide_iso,
     unit_orbit,
 )
-from .patterns import count_looped_arc
+from .patterns import verify_looped_arc_formula
 from .poly import distinct_root_count, eval_at, nontrivial_root_count, trinomial
 
 PARAM_ORDER = ("p", "k", "q", "m", "n", "a", "b")
@@ -147,23 +147,16 @@ def _theorem_worker(item: tuple[int, int, int, bool]) -> list[CheckRecord]:
     ok = r_m == r_n
     records = []
     if with_digraphs:
-        c_m = count_looped_arc(build_digraph(ctx, 1, m))
-        c_n = c_m if n == m else count_looped_arc(build_digraph(ctx, 1, n))
+        formula = {e: verify_looped_arc_formula(ctx, e) for e in sorted({m, n})}
+        c_m, c_n = formula[m].pattern_count, formula[n].pattern_count
         observed.update(count_k_m=c_m, count_k_n=c_n)
         mirrored.update(count_k_m=c_n, count_k_n=c_m)
         ok = ok and c_m == c_n
-        # the count formula of verify_looped_arc_formula, from the counts above
-        for exponent, counted, roots in sorted({(m, c_m, r_m), (n, c_n, r_n)}):
-            predicted = (p - 1) * roots
-            formula_ok = counted == predicted
+        for exponent, (formula_ok, counted, predicted) in formula.items():
             records.append(CheckRecord(
-                check="k_formula",
-                params={"p": p, "n": exponent},
-                observed={"count_k": counted, "expected": predicted},
-                passed=formula_ok,
-                witness=None if formula_ok else
-                f"count {counted} != (p-1)*roots {predicted}",
-            ))
+                "k_formula", {"p": p, "n": exponent},
+                {"count_k": counted, "expected": predicted}, formula_ok,
+                None if formula_ok else f"count {counted} != (p-1)*roots {predicted}"))
     pairs = [((m, n), observed)] if m == n else [((m, n), observed), ((n, m), mirrored)]
     for (first, second), values in pairs:
         records.append(CheckRecord(
@@ -258,20 +251,20 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
     X^(n+1) + aX + b^m must have equal distinct-root counts. One work
     item covers a pair and its mirror, and every count is cross-checked
     by exhaustive evaluation and by the gcd method."""
-    # every field within the cap and given once before any work; a degree
-    # out of range is left to extension_field below, and bounds p**k here
+    # a repeated field is refused before any is built; then extension_field
+    # checks p, k and the field order (the tables stay lazy), the scan q
     seen = set()
     for p, k in fields:
-        if 1 <= k <= caps.MAX_EXTENSION_DEGREE and p**k > caps.MAX_EXERCISE_ORDER:
-            raise CapExceeded(f"exercise scan over GF({p}^{k}) exceeds cap "
-                              f"q <= {caps.MAX_EXERCISE_ORDER}")
         if (p, k) in seen:
             raise ValueError(f"exercise field GF({p}^{k}) given more than once")
         seen.add((p, k))
-    items = []
-    for p, k in fields:
-        ctx = extension_field(p, k)  # validates p, k, and the field caps
-        items.extend((p, k, m, n) for (m, n) in _reciprocal_pairs(ctx.q) if m <= n)
+    contexts = [extension_field(p, k) for p, k in fields]
+    for ctx in contexts:
+        if ctx.q > caps.MAX_EXERCISE_ORDER:
+            raise CapExceeded(f"exercise scan over {ctx!r} exceeds cap "
+                              f"q <= {caps.MAX_EXERCISE_ORDER}")
+    items = [(ctx.p, ctx.k, m, n) for ctx in contexts
+             for (m, n) in _reciprocal_pairs(ctx.q) if m <= n]
     return _assemble(_run_items(_exercise_worker, items))
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import caps
-from .digraph import MonomialDigraph, Vertex
+from .digraph import MonomialDigraph, Vertex, normalize_exponent
 from .errors import (
     CapExceeded,
     CongruenceFailed,
@@ -135,18 +135,14 @@ def frobenius_automorphism(D: MonomialDigraph) -> Certificate:
 
 def unit_orbit(q: int, m: int, n: int) -> frozenset[tuple[int, int]]:
     """Orbit of (m, n) under multiplication by units mod (q-1), residues
-    folded into {1, ..., q-1} (0 maps to q-1). Digraphs whose exponent
-    pairs share an orbit are isomorphic via power maps."""
+    taken into {1, ..., q-1} by normalize_exponent. Digraphs whose
+    exponent pairs share an orbit are isomorphic via power maps."""
     r = q - 1
     if not (1 <= m <= r and 1 <= n <= r):
         raise InvalidExponent(f"exponents must be in [1, {r}]")
-
-    def fold(x: int) -> int:
-        x %= r
-        return x if x else r
-
     return frozenset(
-        (fold(k * m), fold(k * n)) for k in range(1, r + 1) if math.gcd(k, r) == 1
+        (normalize_exponent(k * m, q), normalize_exponent(k * n, q))
+        for k in range(1, r + 1) if math.gcd(k, r) == 1
     )
 
 

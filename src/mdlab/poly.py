@@ -468,8 +468,6 @@ def distinct_root_count(ctx: FieldCtx, f: Poly, method: str = "auto") -> RootCou
     if method == "auto":
         method = "both" if ctx.q <= caps.MAX_BOTH_METHOD_ORDER else "gcd"
     if method == "bruteforce":
-        if ctx.q > caps.MAX_ENUMERATION_ORDER:
-            raise CapExceeded(f"bruteforce over GF({ctx.q}) exceeds enumeration cap")
         return _roots_bruteforce(ctx, f)
     if method == "gcd":
         return _roots_gcd(ctx, f)

@@ -12,6 +12,7 @@ import mdlab.harness
 from mdlab import caps
 from mdlab.cli import _parse_prime_power, main
 from mdlab.errors import IoFailure
+from mdlab.iso import FOUND, SEARCH, Decision
 
 
 def _die(item):
@@ -151,6 +152,17 @@ class TestIso:
         assert "power map k=3" in out
         cert = json.loads(out.split("certificate:", 1)[1].strip())
         assert sorted(cert) == list(range(25))
+
+    def test_search_certificate(self, capsys, monkeypatch):
+        # the only real pair known to end in a search certificate is over
+        # GF(25) and takes seconds, so decide_iso is stubbed with one
+        found = Decision(FOUND, SEARCH, tuple(range(9)), 7)
+        monkeypatch.setattr(mdlab.cli, "decide_iso", lambda D1, D2, budget: found)
+        code, out, _ = run(capsys, "iso", "--p", "3", "--d1", "1,2", "--d2", "2,1")
+        assert code == 0
+        assert out == ("unit orbits differ\n"
+                       "isomorphic (search, 7 expansions)\n"
+                       "certificate: [0,1,2,3,4,5,6,7,8]\n")
 
     def test_non_isomorphic_pair(self, capsys):
         code, out, _ = run(capsys, "iso", "--p", "3", "--d1", "1,2", "--d2", "2,1")
@@ -368,13 +380,16 @@ class TestScans:
         (("iso", "--p", "5", "--d1", "a,2", "--d2", "3,2"), "a,2"),
         (("conjecture", "--p", "3", "--budget", "abc"), "abc"),
         (("exercise", "--fields", "2^3^4"), "2^3^4"),
+        (("exercise", "--fields", "4,,5"), ""),
+        (("exercise", "--fields", "abc"), "abc"),
     ])
     def test_input_error_names_the_token(self, capsys, argv, token):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert repr(token) in err
-        assert not any(name in err for name in ("_parse_pair", "_positive_int", "unpack"))
+        assert not any(name in err for name in
+                       ("_parse_pair", "_positive_int", "unpack", "invalid literal"))
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["theorem"]) == 2  # missing --pmax

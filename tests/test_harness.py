@@ -11,8 +11,9 @@ import pytest
 import mdlab.harness
 from mdlab import caps
 from mdlab.digraph import build_digraph
-from mdlab.errors import CapExceeded, MethodDisagreement
+from mdlab.errors import CapExceeded, IoFailure, MethodDisagreement
 from mdlab.field import extension_field, prime_field
+from mdlab.iso import FOUND, SEARCH, Decision
 from mdlab.patterns import count_looped_arc
 from mdlab.poly import RootCount, distinct_root_count, nontrivial_root_count, trinomial
 from mdlab.harness import (
@@ -230,6 +231,23 @@ class TestConjectureScan:
         assert report_exit_code(report) == 3
         assert all(r.witness and "budget exhausted" in r.witness for r in undecided)
 
+    def test_cross_orbit_isomorphism_is_a_counterexample(self, monkeypatch):
+        # the only unit mod 2 is 1, so each of the four digraphs over GF(3)
+        # is its own orbit and every pair is cross-orbit
+        def found(D1, D2, budget):
+            return Decision(FOUND, SEARCH, tuple(range(D1.order)), 1)
+
+        monkeypatch.setattr(mdlab.harness, "decide_iso", found)
+        report = run_conjecture_scan(prime_field(3))
+        pairs = [r for r in report.records if r.check == "iso"]
+        assert len(pairs) == 6
+        assert all(not r.passed and r.witness == "cross-orbit pair is isomorphic; "
+                   "certificate=[0,1,2,3,4,5,6,7,8]" for r in pairs)
+        verdict = next(r for r in report.records if r.check == "conjecture")
+        assert not verdict.passed
+        assert verdict.witness == "D(3;1,1) ~ D(3;1,2)"
+        assert report_exit_code(report) == 1
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             run_conjecture_scan(prime_field(17))
@@ -294,6 +312,15 @@ class TestEmission:
         report = run_theorem_scan(11)
         lines = jsonl_bytes(report).decode()
         assert '"witness"' not in lines
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_write_failure_is_io_failure(self, fmt):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(IoFailure, match="report emission failed"):
+            emit_report(run_theorem_scan(3), fmt, Full())
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

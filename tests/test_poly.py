@@ -7,16 +7,19 @@ import random
 
 import pytest
 
+import mdlab.poly
 from mdlab import caps
 from mdlab.errors import (
     BothZero,
     CapExceeded,
     DegreeTooSmall,
+    MethodDisagreement,
     ZeroModulus,
     ZeroPolynomial,
 )
 from mdlab.field import extension_field, prime_field
 from mdlab.poly import (
+    RootCount,
     X,
     distinct_root_count,
     eval_at,
@@ -173,6 +176,32 @@ class TestRootCount:
         rc = distinct_root_count(ctx, trinomial(ctx, 4, -2, 1), method="gcd")
         assert rc.distinct == 3
         assert rc.roots is None
+
+    def test_methods_must_agree(self, monkeypatch):
+        roots_gcd = mdlab.poly._roots_gcd
+
+        def off_by_one(ctx, f):
+            found = roots_gcd(ctx, f)
+            return RootCount(found.distinct + 1, found.roots)
+
+        monkeypatch.setattr(mdlab.poly, "_roots_gcd", off_by_one)
+        ctx = prime_field(11)
+        with pytest.raises(MethodDisagreement, match="bruteforce found"):
+            distinct_root_count(ctx, trinomial(ctx, 4, -2, 1), "both")
+
+    @pytest.mark.parametrize("method", ["bruteforce", "both"])
+    def test_enumeration_cap_before_evaluation(self, monkeypatch, method):
+        # 1048583 is the first prime above the cap 2^20
+        ctx = prime_field(1048583)
+        f = trinomial(ctx, 3, 1, 1)
+
+        def no_eval(*args):
+            raise AssertionError("evaluated over a field past the enumeration cap")
+
+        monkeypatch.setattr(mdlab.poly, "eval_at", no_eval)
+        with pytest.raises(CapExceeded,
+                           match=r"enumeration of GF\(1048583\) exceeds cap 1048576"):
+            distinct_root_count(ctx, f, method)
 
 
 class TestNontrivialRootCount:
