@@ -140,23 +140,27 @@ def _theorem_worker(item: tuple[int, int, int, bool]) -> list[CheckRecord]:
     of each exponent."""
     p, m, n, with_digraphs = item
     ctx = prime_field(p)
-    r_m = nontrivial_root_count(ctx, m)
-    r_n = r_m if n == m else nontrivial_root_count(ctx, n)
+    if with_digraphs:  # each formula check counts its exponent's roots
+        formula = {e: verify_looped_arc_formula(ctx, e) for e in sorted({m, n})}
+        roots = {e: check.roots for e, check in formula.items()}
+    else:
+        roots = {e: nontrivial_root_count(ctx, e) for e in {m, n}}
+    r_m, r_n = roots[m], roots[n]
     observed = {"r_m": r_m, "r_n": r_n}
     mirrored = {"r_m": r_n, "r_n": r_m}
     ok = r_m == r_n
     records = []
     if with_digraphs:
-        formula = {e: verify_looped_arc_formula(ctx, e) for e in sorted({m, n})}
         c_m, c_n = formula[m].pattern_count, formula[n].pattern_count
         observed.update(count_k_m=c_m, count_k_n=c_n)
         mirrored.update(count_k_m=c_n, count_k_n=c_m)
         ok = ok and c_m == c_n
-        for exponent, (formula_ok, counted, predicted) in formula.items():
+        for exponent, check in formula.items():
+            counted, predicted = check.pattern_count, check.predicted
             records.append(CheckRecord(
                 "k_formula", {"p": p, "n": exponent},
-                {"count_k": counted, "expected": predicted}, formula_ok,
-                None if formula_ok else f"count {counted} != (p-1)*roots {predicted}"))
+                {"count_k": counted, "expected": predicted}, check.ok,
+                None if check.ok else f"count {counted} != (p-1)*roots {predicted}"))
     pairs = [((m, n), observed)] if m == n else [((m, n), observed), ((n, m), mirrored)]
     for (first, second), values in pairs:
         records.append(CheckRecord(
@@ -273,12 +277,18 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
 def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET) -> ScanReport:
     """Exhaustive unit-orbit consistency check over all (q-1)^2 digraphs.
 
-    Every pair goes through decide_iso. Within-orbit pairs must admit a
-    power-map certificate; cross-orbit pairs with equal fingerprints go to
-    budgeted brute-force search and must come back non-isomorphic. The
-    verdict is the `conjecture` record: it passes, or its witness names
-    the first cross-orbit isomorphic pair. Runs serially; q is capped so
-    the whole scan is desk-scale.
+    Within-orbit pairs are decided first, each through decide_iso, and
+    must admit a power-map certificate. A digraph is linked if it is its
+    orbit's representative (the least pair of the orbit) or its pair with
+    the representative got that certificate. Each cross-orbit pair (A, B)
+    reads the decision on its representatives, made once per orbit pair:
+    a refutation carries over to (A, B) when A and B are both linked,
+    since A ~ rep A and B ~ rep B by certified maps. Any other pair, and
+    any pair whose representatives were not refuted, is decided directly,
+    so every found certificate is the pair's own. Cross-orbit pairs must
+    come back non-isomorphic. The verdict is the `conjecture` record: it
+    passes, or its witness names the first cross-orbit isomorphic pair.
+    Runs serially; q is capped so the whole scan is desk-scale.
     """
     q = ctx.q
     if q > caps.MAX_CONJECTURE_ORDER:
@@ -286,15 +296,35 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     keys = [(m, n) for m in range(1, q) for n in range(1, q)]
     digraphs = {key: build_digraph(ctx, *key) for key in keys}
     orbits = {key: unit_orbit(q, *key) for key in keys}
+    rep = {key: min(orbits[key]) for key in keys}
+    linked = set(rep.values())
+    rep_decisions = {}
 
     records = []
     exhausted = 0
     counterexample: str | None = None
-    for first, second in combinations(keys, 2):
+    # within-orbit pairs first, so every link is known before any
+    # cross-orbit pair needs it; the stable sort keeps each group in pair
+    # order, so the counterexample is still the first in pair order
+    pairs = sorted(combinations(keys, 2), key=lambda pair: orbits[pair[0]] != orbits[pair[1]])
+    for first, second in pairs:
         params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
         observed = {"m2": second[0], "n2": second[1]}
-        decision = decide_iso(digraphs[first], digraphs[second], budget)
-        if orbits[first] == orbits[second]:
+        same_orbit = orbits[first] == orbits[second]
+        if same_orbit:
+            decision = decide_iso(digraphs[first], digraphs[second], budget)
+            if decision.stage == POWER_MAP and first == rep[second]:
+                linked.add(second)
+        else:
+            reps = tuple(sorted((rep[first], rep[second])))
+            if reps not in rep_decisions:
+                rep_decisions[reps] = decide_iso(digraphs[reps[0]], digraphs[reps[1]], budget)
+            decision = rep_decisions[reps]
+            # only a refutation carries over, and only through certified links
+            if (first, second) != reps and not (
+                    decision.status == NOT_ISOMORPHIC and linked.issuperset((first, second))):
+                decision = decide_iso(digraphs[first], digraphs[second], budget)
+        if same_orbit:
             observed["isomorphic"] = 1
             observed["decided"] = 1
             ok = decision.stage == POWER_MAP

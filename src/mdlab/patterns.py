@@ -143,6 +143,7 @@ class FormulaCheck(NamedTuple):
     ok: bool
     pattern_count: int
     predicted: int
+    roots: int  # the nontrivial root count r behind the prediction
 
 
 def verify_looped_arc_formula(ctx: FieldCtx, n: int) -> FormulaCheck:
@@ -153,8 +154,9 @@ def verify_looped_arc_formula(ctx: FieldCtx, n: int) -> FormulaCheck:
         raise EvenCharacteristic("the loop count formula divides by 2")
     D = build_digraph(ctx, 1, n)
     counted = count_looped_arc(D)
-    predicted = (ctx.q - 1) * nontrivial_root_count(ctx, n)
-    return FormulaCheck(counted == predicted, counted, predicted)
+    roots = nontrivial_root_count(ctx, n)
+    predicted = (ctx.q - 1) * roots
+    return FormulaCheck(counted == predicted, counted, predicted, roots)
 
 
 @lru_cache(maxsize=None)

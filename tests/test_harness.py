@@ -3,6 +3,7 @@ worker counts, and independently recomputed record totals."""
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 
@@ -13,7 +14,8 @@ from mdlab import caps
 from mdlab.digraph import build_digraph
 from mdlab.errors import CapExceeded, IoFailure, MethodDisagreement
 from mdlab.field import extension_field, prime_field
-from mdlab.iso import FOUND, SEARCH, Decision
+from mdlab.iso import (EXHAUSTED, FOUND, INVARIANTS, NOT_ISOMORPHIC, SEARCH, Decision,
+                       unit_orbit)
 from mdlab.patterns import count_looped_arc
 from mdlab.poly import RootCount, distinct_root_count, nontrivial_root_count, trinomial
 from mdlab.harness import (
@@ -187,6 +189,33 @@ class TestExerciseScan:
         assert rows and all(r.passed for r in rows)
 
 
+def _counting_decide_iso(monkeypatch, override=None):
+    """Route the conjecture scan's decide_iso through a recorder; override
+    may answer a pair of exponent keys instead of the real decision."""
+    calls = []
+    decide = mdlab.harness.decide_iso
+
+    def counted(D1, D2, budget):
+        pair = ((D1.m, D1.n), (D2.m, D2.n))
+        calls.append(pair)
+        answer = override(*pair) if override else None
+        return decide(D1, D2, budget) if answer is None else answer
+
+    monkeypatch.setattr(mdlab.harness, "decide_iso", counted)
+    return calls
+
+
+def _orbit_pairs(q):
+    """(within-orbit pairs, cross-orbit pairs, pairs of representatives),
+    each orbit represented by its least key."""
+    keys = [(m, n) for m in range(1, q) for n in range(1, q)]
+    orbits = {key: unit_orbit(q, *key) for key in keys}
+    pairs = list(itertools.combinations(keys, 2))
+    within = [(a, b) for a, b in pairs if orbits[a] == orbits[b]]
+    cross = [(a, b) for a, b in pairs if orbits[a] != orbits[b]]
+    return within, cross, {(a, b) for a, b in cross if (a, b) == (min(orbits[a]), min(orbits[b]))}
+
+
 class TestConjectureScan:
     @pytest.mark.parametrize("q,digraph_count,class_count",
                              [(5, 16, 10), (9, 64, 22), (11, 100, 28)])
@@ -251,6 +280,64 @@ class TestConjectureScan:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             run_conjecture_scan(prime_field(17))
+
+    @pytest.mark.parametrize("p,expected", [(5, 6 + 45), (7, 16 + 190)])
+    def test_one_decision_per_representative_pair(self, monkeypatch, p, expected):
+        # within-orbit pairs each, then C(classes, 2) representative pairs
+        calls = _counting_decide_iso(monkeypatch)
+        report = run_conjecture_scan(prime_field(p))
+        assert report.all_passed
+        assert len(calls) == expected
+        within, _, reps = _orbit_pairs(p)
+        assert len(set(calls)) == len(calls)
+        assert set(calls) == set(within) | reps
+
+    def test_unrefuted_representatives_decide_each_pair(self, monkeypatch):
+        within, cross, reps = _orbit_pairs(5)
+
+        def exhaust_reps(first, second):
+            if (first, second) in reps:
+                return Decision(EXHAUSTED, SEARCH, None, 7)
+            return None
+
+        calls = _counting_decide_iso(monkeypatch, exhaust_reps)
+        report = run_conjecture_scan(prime_field(5))
+        # every pair is decided once, on itself
+        assert sorted(calls) == sorted(within + cross)
+        pairs = {((r.params["m"], r.params["n"]), (r.observed["m2"], r.observed["n2"])): r
+                 for r in report.records if r.check == "iso"}
+        assert all(pairs[pair].observed["decided"] == 0
+                   and pairs[pair].witness == "budget exhausted after 7 expansions"
+                   for pair in reps)
+        assert all(pairs[pair].passed for pair in within + cross if pair not in reps)
+        verdict = next(r for r in report.records if r.check == "conjecture")
+        assert verdict.observed["exhausted"] == len(reps) == 45
+        assert report_exit_code(report) == 3
+
+    def test_unlinked_digraph_decides_its_pairs(self, monkeypatch):
+        # (3, 2) is in the orbit of (1, 2) over GF(5); refuting that
+        # within-orbit pair leaves (3, 2) without a certified link
+        unlinked = (3, 2)
+        assert min(unit_orbit(5, *unlinked)) == (1, 2)
+        within, cross, reps = _orbit_pairs(5)
+
+        def refute_link(first, second):
+            if (first, second) == ((1, 2), unlinked):
+                return Decision(NOT_ISOMORPHIC, INVARIANTS, None, 0)
+            return None
+
+        calls = _counting_decide_iso(monkeypatch, refute_link)
+        report = run_conjecture_scan(prime_field(5))
+        with_unlinked = [pair for pair in cross if unlinked in pair]
+        assert len(with_unlinked) == 14
+        assert set(with_unlinked) <= set(calls)
+        assert sorted(calls) == sorted(within + list(reps) + with_unlinked)
+        failures = report.failures()
+        assert len(failures) == 1
+        assert (failures[0].params["m"], failures[0].params["n"]) == (1, 2)
+        assert (failures[0].observed["m2"], failures[0].observed["n2"]) == unlinked
+        assert failures[0].witness == "within-orbit pair has no power-map certificate"
+        assert report_exit_code(report) == 1
 
 
 class TestEmission:

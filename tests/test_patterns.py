@@ -144,11 +144,11 @@ class TestCountPattern:
 class TestFormula:
     def test_gf11_n3(self):
         check = verify_looped_arc_formula(prime_field(11), 3)
-        assert check == (True, 20, 20)
+        assert check == (True, 20, 20, 2)
 
     def test_gf3_n2(self):
         check = verify_looped_arc_formula(prime_field(3), 2)
-        assert check == (True, 0, 0)
+        assert check == (True, 0, 0, 0)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_n_one_always_zero(self, p):
