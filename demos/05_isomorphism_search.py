@@ -65,7 +65,8 @@ for cls in classes:
 
 # decide_iso settles each pair at the cheapest stage that can, and
 # computes each digraph's invariants and census at most once across all
-# 120 pairs.
+# 120 pairs (a cache it shares with brute_force_iso only: the public
+# fingerprint() runs the census afresh on every call).
 stages = Counter(decide_iso(digs[a], digs[b]).stage
                  for a, b in combinations(sorted(digs), 2))
 print("\nGF(5) pairs per deciding stage:", dict(sorted(stages.items())))

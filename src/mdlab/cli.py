@@ -18,7 +18,7 @@ from . import caps
 from ._version import __version__
 from .digraph import build_digraph
 from .errors import CapExceeded, MdlabError
-from .field import FieldCtx, _smallest_factor, extension_field
+from .field import FieldCtx, extension_field, prime_power
 from .harness import (
     emit_report,
     report_exit_code,
@@ -186,43 +186,20 @@ def _cmd_theorem(args) -> int:
     return report_exit_code(report)
 
 
-def _bare_order(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"{token!r} is not a prime power") from None
-
-
 def _parse_prime_power(token: str) -> tuple[int, int]:
     """Accept explicit p^k or a bare prime power like 8 (-> 2^3)."""
-    if "^" in token:
-        try:
+    try:
+        if "^" in token:
             p, k = map(int, token.split("^"))
-        except ValueError:
-            raise ValueError(f"{token!r} is not a prime power") from None
-        return p, k
-    q = _bare_order(token)
-    if q < 2:
-        raise ValueError(f"{token!r} is not a prime power")
-    p = _smallest_factor(q) or q
-    k = 1
-    while p**k < q:
-        k += 1
-    if p**k != q:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
+            return p, k
+        q = int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not a prime power") from None
+    return prime_power(q)
 
 
 def _cmd_exercise(args) -> int:
-    fields = []
-    for tok in args.fields.split(","):
-        tok = tok.strip()
-        # a bare order over the cap is refused before it is factored: trial
-        # division of a large prime would run for hours
-        if "^" not in tok and _bare_order(tok) > caps.MAX_EXERCISE_ORDER:
-            raise CapExceeded(f"exercise scan over GF({tok}) exceeds cap "
-                              f"q <= {caps.MAX_EXERCISE_ORDER}")
-        fields.append(_parse_prime_power(tok))
+    fields = [_parse_prime_power(tok.strip()) for tok in args.fields.split(",")]
     report = run_exercise_scan(fields)
     _emit(report, args)
     return report_exit_code(report)
@@ -298,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("theorem", help="scan reciprocal-exponent root counts")
     sp.add_argument("--pmax", type=int, required=True)
     sp.add_argument("--digraphs", action="store_true",
-                    help="also check digraph pattern counts for p <= 13")
+                    help="also check digraph pattern counts for p <= %d"
+                    % caps.MAX_PATTERN_HOST_ORDER)
     add_report_args(sp)
     sp.set_defaults(func=_cmd_theorem)
 

@@ -65,6 +65,22 @@ def _check_prime(p: int) -> None:
         raise CompositeModulus(p, factor)
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with p prime and p**k == q. An order above MAX_PRIME is refused
+    before trial division: no field under the caps is that large."""
+    if q > caps.MAX_PRIME:
+        raise CapExceeded(f"field order {q} exceeds cap {caps.MAX_PRIME}")
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = _smallest_factor(q) or q
+    k = 1
+    while p**k < q:
+        k += 1
+    if p**k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
+
+
 # --- the canonical modulus and the tables, on poly's GF(p)[t] kernels ---
 
 def _is_irreducible(gf: FieldCtx, f: Coeffs) -> bool:

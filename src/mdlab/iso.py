@@ -21,10 +21,12 @@ Only the digraph module encodes and decodes bitset rows. Refinement
 reads each digraph's out-lists and in-lists from
 `MonomialDigraph.neighbor_lists`, which it builds and keeps, and
 verify_iso and permute_digraph compare and assemble the rows that
-`MonomialDigraph.relabeled_row` encodes. Each digraph's refinement
-colors, cheap invariants and fingerprint are computed at most once, on
-first use by decide_iso, fingerprint or brute_force_iso, and kept as
-private attributes of the digraph, so they are dropped with it.
+`MonomialDigraph.relabeled_row` encodes. decide_iso and brute_force_iso
+share one cached result per digraph for its refinement colors, cheap
+invariants and fingerprint, kept as private attributes of the digraph,
+so they are dropped with it. The public color_refinement,
+cheap_invariants and fingerprint compute their result afresh on every
+call; only the colors and cheap invariants they build on are cached.
 """
 from __future__ import annotations
 
@@ -329,7 +331,8 @@ def decide_iso(D1: MonomialDigraph, D2: MonomialDigraph,
 
     Stage 3 compares whole fingerprints, so a pair is refuted before
     search exactly when its fingerprints differ. Each digraph's invariants
-    and census are computed at most once however many pairs it is in.
+    and census are computed at most once by decide_iso and brute_force_iso,
+    however many pairs it is in; a public fingerprint call does not count.
     """
     power = find_power_map(D1, D2)
     if power is not None:

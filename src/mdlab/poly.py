@@ -81,11 +81,6 @@ def make_poly(ctx: FieldCtx, coeffs) -> Poly:
     return normalize(ctx.element(c) for c in coeffs)
 
 
-def degree(f: Poly) -> int | None:
-    """Degree of f, or None for the zero polynomial."""
-    return len(f) - 1 if f else None
-
-
 _last_plan: tuple = (None, None)  # (f, plan) of the last _horner_plan call
 
 

@@ -13,7 +13,7 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from mdlab import caps, field
 from mdlab.errors import CapExceeded, CompositeModulus, ZeroInverse
-from mdlab.field import extension_field, power_map_is_bijective, prime_field
+from mdlab.field import extension_field, power_map_is_bijective, prime_field, prime_power
 
 
 def gf4_oracle_add(a: int, b: int) -> int:
@@ -84,6 +84,33 @@ class TestConstruction:
             extension_field(41, 4)  # 41^4 > enumeration cap
         with pytest.raises(CompositeModulus):
             extension_field(4, 2)
+
+
+class TestPrimePower:
+    @pytest.mark.parametrize("q,expected", [
+        (2, (2, 1)), (4, (2, 2)), (8, (2, 3)), (9, (3, 2)), (97, (97, 1)),
+        (1 << 20, (2, 20)), (caps.MAX_PRIME, (caps.MAX_PRIME, 1)),
+    ])
+    def test_accepts(self, q, expected):
+        assert prime_power(q) == expected
+
+    @pytest.mark.parametrize("q,error", [
+        (0, ValueError), (1, ValueError), (6, ValueError), (1000, ValueError),
+        (1 << 31, CapExceeded),
+    ])
+    def test_refuses(self, q, error):
+        with pytest.raises(error) as ei:
+            prime_power(q)
+        assert ei.type is error
+
+    @pytest.mark.parametrize("q", [caps.MAX_PRIME + 1, 10**18 + 3])
+    def test_over_max_prime_refused_before_trial_division(self, monkeypatch, q):
+        def _no_trial_division(n):
+            raise AssertionError(f"trial division of {n}")
+
+        monkeypatch.setattr(field, "_smallest_factor", _no_trial_division)
+        with pytest.raises(CapExceeded):
+            prime_power(q)
 
 
 class TestArithmetic:
