@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import IO, Iterable, Sequence
 
@@ -277,53 +278,48 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
 def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET) -> ScanReport:
     """Exhaustive unit-orbit consistency check over all (q-1)^2 digraphs.
 
-    Within-orbit pairs are decided first, each through decide_iso, and
-    must admit a power-map certificate. A digraph is linked if it is its
-    orbit's representative (the least pair of the orbit) or its pair with
-    the representative got that certificate. Each cross-orbit pair (A, B)
-    reads the decision on its representatives, made once per orbit pair:
-    a refutation carries over to (A, B) when A and B are both linked,
-    since A ~ rep A and B ~ rep B by certified maps. Any other pair, and
-    any pair whose representatives were not refuted, is decided directly,
-    so every found certificate is the pair's own. Cross-orbit pairs must
-    come back non-isomorphic. The verdict is the `conjecture` record: it
-    passes, or its witness names the first cross-orbit isomorphic pair.
-    Runs serially; q is capped so the whole scan is desk-scale.
+    Every decision goes through one memoized call of decide_iso, so each
+    pair is decided at most once. Links come first: a digraph is linked
+    if it is its orbit's representative (the least pair of the orbit) or
+    its pair with the representative admits a power-map certificate.
+    Then the pairs run in pair order. A within-orbit pair is decided on
+    itself and must admit a power-map certificate. A cross-orbit pair
+    (A, B) reads the decision on its representatives: a refutation
+    carries over to (A, B) when A and B are both linked, since A ~ rep A
+    and B ~ rep B by certified maps. Otherwise (A, B) is decided on
+    itself, so every found certificate is the pair's own. Cross-orbit
+    pairs must come back non-isomorphic. The verdict is the `conjecture`
+    record: it passes, or its witness names the first cross-orbit
+    isomorphic pair. Runs serially; q is capped so the whole scan is
+    desk-scale.
     """
     q = ctx.q
     if q > caps.MAX_CONJECTURE_ORDER:
         raise CapExceeded(f"conjecture scan capped at q <= {caps.MAX_CONJECTURE_ORDER}")
     keys = [(m, n) for m in range(1, q) for n in range(1, q)]
     digraphs = {key: build_digraph(ctx, *key) for key in keys}
-    orbits = {key: unit_orbit(q, *key) for key in keys}
-    rep = {key: min(orbits[key]) for key in keys}
-    linked = set(rep.values())
-    rep_decisions = {}
+    rep = {key: min(unit_orbit(q, *key)) for key in keys}
+
+    @cache
+    def decide(first, second):
+        return decide_iso(digraphs[first], digraphs[second], budget)
+
+    linked = {key for key in keys if key == rep[key] or decide(rep[key], key).stage == POWER_MAP}
 
     records = []
     exhausted = 0
     counterexample: str | None = None
-    # within-orbit pairs first, so every link is known before any
-    # cross-orbit pair needs it; the stable sort keeps each group in pair
-    # order, so the counterexample is still the first in pair order
-    pairs = sorted(combinations(keys, 2), key=lambda pair: orbits[pair[0]] != orbits[pair[1]])
-    for first, second in pairs:
+    for first, second in combinations(keys, 2):
         params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
         observed = {"m2": second[0], "n2": second[1]}
-        same_orbit = orbits[first] == orbits[second]
+        same_orbit = rep[first] == rep[second]
         if same_orbit:
-            decision = decide_iso(digraphs[first], digraphs[second], budget)
-            if decision.stage == POWER_MAP and first == rep[second]:
-                linked.add(second)
+            decision = decide(first, second)
         else:
-            reps = tuple(sorted((rep[first], rep[second])))
-            if reps not in rep_decisions:
-                rep_decisions[reps] = decide_iso(digraphs[reps[0]], digraphs[reps[1]], budget)
-            decision = rep_decisions[reps]
+            decision = decide(*sorted((rep[first], rep[second])))
             # only a refutation carries over, and only through certified links
-            if (first, second) != reps and not (
-                    decision.status == NOT_ISOMORPHIC and linked.issuperset((first, second))):
-                decision = decide_iso(digraphs[first], digraphs[second], budget)
+            if not (decision.status == NOT_ISOMORPHIC and linked.issuperset((first, second))):
+                decision = decide(first, second)
         if same_orbit:
             observed["isomorphic"] = 1
             observed["decided"] = 1
@@ -355,7 +351,7 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
         params={"p": ctx.p, "k": ctx.k, "q": q},
         observed={
             "digraph_count": len(keys),
-            "class_count": len(set(orbits.values())),
+            "class_count": len(set(rep.values())),
             "exhausted": exhausted,
         },
         passed=counterexample is None,
@@ -403,12 +399,7 @@ def emit_report(report: ScanReport, fmt: str, destination: IO[str]) -> None:
 
 def report_exit_code(report: ScanReport) -> int:
     """0 all passed; 1 genuine failures; 3 only budget-exhausted pairs."""
-    decided_failures = [
-        r for r in report.failures() if r.observed.get("decided", 1) != 0
-    ]
-    undecided = [r for r in report.failures() if r.observed.get("decided", 1) == 0]
-    if decided_failures:
+    failures = report.failures()
+    if any(r.observed.get("decided", 1) != 0 for r in failures):
         return 1
-    if undecided:
-        return 3
-    return 0
+    return 3 if failures else 0

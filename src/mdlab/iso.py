@@ -41,7 +41,6 @@ from .digraph import MonomialDigraph, Vertex, normalize_exponent
 from .errors import (
     CapExceeded,
     CongruenceFailed,
-    InvalidExponent,
     NotCoprime,
     SizeMismatch,
     VerificationFailed,
@@ -140,8 +139,6 @@ def unit_orbit(q: int, m: int, n: int) -> frozenset[tuple[int, int]]:
     taken into {1, ..., q-1} by normalize_exponent. Digraphs whose
     exponent pairs share an orbit are isomorphic via power maps."""
     r = q - 1
-    if not (1 <= m <= r and 1 <= n <= r):
-        raise InvalidExponent(f"exponents must be in [1, {r}]")
     return frozenset(
         (normalize_exponent(k * m, q), normalize_exponent(k * n, q))
         for k in range(1, r + 1) if math.gcd(k, r) == 1

@@ -183,13 +183,17 @@ def parse_pattern(text: str) -> Pattern:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty pattern literal")
-    order = int(lines[0])
+    try:
+        order = int(lines[0])
+    except ValueError:
+        raise ValueError(f"malformed order line {lines[0]!r}") from None
     arcs = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed arc line {ln!r}")
-        arcs.add((int(parts[0]), int(parts[1])))
+        try:
+            tail, head = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"malformed arc line {ln!r}") from None
+        arcs.add((tail, head))
     return Pattern(order, frozenset(arcs))
 
 

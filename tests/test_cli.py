@@ -153,18 +153,22 @@ class TestCounts:
         assert "subdigraphs=20" in out
 
     def test_bad_pattern_literal_exits_before_build(self, capsys, tmp_path, monkeypatch):
-        literal = tmp_path / "pattern.txt"
-        literal.write_text("2\n0 1 1\n")
-
         def no_build(*args):
             raise AssertionError("digraph built before the pattern was parsed")
 
         monkeypatch.setattr(mdlab.cli, "build_digraph", no_build)
-        code, out, err = run(capsys, "count-pattern", "--p", "181", "--m", "1", "--n", "2",
-                             "--pattern", str(literal))
-        assert code == 2
-        assert out == ""
-        assert "malformed arc line" in err
+        literal = tmp_path / "pattern.txt"
+        # each message names the line it could not read
+        for text, message in [("2\n0 1 1\n", "malformed arc line '0 1 1'"),
+                              ("abc\n", "malformed order line 'abc'"),
+                              ("2\n1 x\n", "malformed arc line '1 x'")]:
+            literal.write_text(text)
+            code, out, err = run(capsys, "count-pattern", "--p", "181", "--m", "1", "--n", "2",
+                                 "--pattern", str(literal))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+            assert "invalid literal" not in err
 
 
 class TestIso:

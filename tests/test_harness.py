@@ -292,6 +292,19 @@ class TestConjectureScan:
         assert len(set(calls)) == len(calls)
         assert set(calls) == set(within) | reps
 
+    @pytest.mark.parametrize("p,k,budget,expected", [
+        (2, 2, caps.DEFAULT_SEARCH_BUDGET, 14),
+        (5, 1, caps.DEFAULT_SEARCH_BUDGET, 51),
+        (7, 1, caps.DEFAULT_SEARCH_BUDGET, 206),
+        (2, 3, caps.DEFAULT_SEARCH_BUDGET, 156),
+        (2, 3, 3, 331),
+    ])
+    def test_no_pair_decided_twice(self, monkeypatch, p, k, budget, expected):
+        calls = _counting_decide_iso(monkeypatch)
+        run_conjecture_scan(extension_field(p, k), budget=budget)
+        assert len(calls) == expected
+        assert len(set(calls)) == len(calls)
+
     def test_unrefuted_representatives_decide_each_pair(self, monkeypatch):
         within, cross, reps = _orbit_pairs(5)
 

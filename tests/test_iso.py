@@ -444,6 +444,10 @@ class TestUnitOrbit:
         with pytest.raises(InvalidExponent):
             unit_orbit(5, 0, 2)
 
+    def test_exponents_fold_like_the_digraph(self):
+        # build_digraph(GF(5), 6, 2) is D(5;2,2), so its orbit is that of (2, 2)
+        assert unit_orbit(5, 6, 2) == unit_orbit(5, 2, 2)
+
 
 class TestSharedInvariants:
     @pytest.mark.parametrize("p,k,m,n", [(3, 1, 1, 2), (5, 1, 2, 3), (7, 1, 1, 4),
