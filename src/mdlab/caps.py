@@ -16,8 +16,7 @@ MAX_DIGRAPH_ORDER = 181           # q cap for the dense q^2 x q^2 bit matrix
 MAX_DOT_ORDER = 13                # q cap for DOT export
 
 # Pattern counting
-MAX_PATTERN_ORDER = 8             # vertices in a Pattern
-MAX_COUNT_PATTERN_ORDER = 5       # vertices countable by generic backtracking
+MAX_PATTERN_ORDER = 5             # vertices in a Pattern, so in any count
 MAX_PATTERN_HOST_ORDER = 13       # q cap for generic pattern counting
 
 # Verification scans

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import caps
 from ._version import __version__
-from .digraph import build_digraph
+from .digraph import build_digraph, check_dot_order
 from .errors import CapExceeded, MdlabError
 from .field import FieldCtx, extension_field, prime_power
 from .harness import (
@@ -35,7 +35,7 @@ from .iso import (
     decide_iso,
     unit_orbit,
 )
-from .patterns import count_looped_arc, count_pattern, parse_pattern
+from .patterns import check_pattern_host, count_looped_arc, count_pattern, parse_pattern
 from .poly import distinct_root_count, trinomial
 
 USAGE_ERROR = 2
@@ -105,8 +105,10 @@ def _emit(report, args) -> None:
 
 def _cmd_build(args) -> int:
     ctx = _field(args)
+    if args.dot:  # over the DOT cap: exit 2 before the digraph is built
+        check_dot_order(ctx.q)
     D = build_digraph(ctx, args.m, args.n)
-    if args.dot:  # over the DOT cap or unwritable: exit 2 before any output
+    if args.dot:  # unwritable: exit 2 before any output
         dot = D.to_dot()
         _write_atomic(args.dot, lambda handle: handle.write(dot))
     print(f"D({ctx.q};{D.m},{D.n}): {D.order} vertices, {D.arc_count} arcs, "
@@ -139,6 +141,7 @@ def _cmd_count_k(args) -> int:
 def _cmd_count_pattern(args) -> int:
     ctx = _field(args)
     pattern = parse_pattern(Path(args.pattern).read_text(encoding="utf-8"))
+    check_pattern_host(ctx.q)  # before the digraph is built
     result = count_pattern(build_digraph(ctx, args.m, args.n), pattern)
     print(f"injections={result.injections} aut={result.aut} "
           f"subdigraphs={result.subdigraphs}")

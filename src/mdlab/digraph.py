@@ -180,8 +180,7 @@ class MonomialDigraph:
     def to_dot(self) -> str:
         """DOT text, one node line per vertex and one edge line per arc,
         both sorted by index; byte-identical across runs."""
-        if self.q > caps.MAX_DOT_ORDER:
-            raise CapExceeded(f"DOT export capped at q <= {caps.MAX_DOT_ORDER}")
+        check_dot_order(self.q)
         def label(i: int) -> str:
             x1, x2 = self.vertex_at(i)
             return f'"({x1},{x2})"'
@@ -190,6 +189,12 @@ class MonomialDigraph:
         lines.extend(f"  {label(i)} -> {label(j)};" for i, j in self.arcs())
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def check_dot_order(q: int) -> None:
+    """Refuse DOT export of a digraph over GF(q) above the DOT cap."""
+    if q > caps.MAX_DOT_ORDER:
+        raise CapExceeded(f"DOT export capped at q <= {caps.MAX_DOT_ORDER}")
 
 
 def build_digraph(ctx: FieldCtx, m: int, n: int) -> MonomialDigraph:

@@ -1,6 +1,7 @@
 """Counting small pattern subdigraphs inside a monomial digraph.
 
-A Pattern is an explicit digraph on at most 8 vertices. Counting follows
+A Pattern is an explicit digraph on at most 5 vertices (caps.MAX_PATTERN_ORDER,
+the one size cap), so any Pattern can be counted. Counting follows
 the subdigraph convention: an embedding must reproduce every pattern arc
 but pattern non-arcs are unconstrained. Copies are counted as
 arc-preserving injections divided by the pattern's automorphism count.
@@ -123,14 +124,15 @@ def _count_injections(D: MonomialDigraph, pattern: Pattern) -> int:
     return count * perm(n - len(core), pattern.order - len(core))
 
 
+def check_pattern_host(q: int) -> None:
+    """Refuse a host digraph over GF(q) above the pattern-counting cap."""
+    if q > caps.MAX_PATTERN_HOST_ORDER:
+        raise CapExceeded(f"count_pattern is capped at q <= {caps.MAX_PATTERN_HOST_ORDER}")
+
+
 def count_pattern(D: MonomialDigraph, pattern: Pattern) -> PatternCount:
     """Subdigraph copies of pattern in D by bitmask backtracking."""
-    if pattern.order > caps.MAX_COUNT_PATTERN_ORDER:
-        raise CapExceeded(
-            f"count_pattern is capped at {caps.MAX_COUNT_PATTERN_ORDER} pattern vertices")
-    if D.q > caps.MAX_PATTERN_HOST_ORDER:
-        raise CapExceeded(
-            f"count_pattern is capped at q <= {caps.MAX_PATTERN_HOST_ORDER}")
+    check_pattern_host(D.q)
     injections = _count_injections(D, pattern)
     aut = automorphism_count(pattern)
     if injections % aut:

@@ -69,13 +69,17 @@ class TestBuild:
         assert code == 2
         assert "error" in err
 
-    def test_dot_over_cap_prints_nothing(self, capsys, tmp_path):
+    def test_dot_over_cap_prints_nothing(self, capsys, tmp_path, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("digraph built over the DOT cap")
+
+        monkeypatch.setattr(mdlab.cli, "build_digraph", no_build)
         target = tmp_path / "x.dot"
         code, out, err = run(capsys, "build", "--p", "17", "--m", "1", "--n", "2",
                              "--dot", str(target))
         assert code == 2
         assert out == ""
-        assert "DOT export capped" in err
+        assert err == f"error: DOT export capped at q <= {caps.MAX_DOT_ORDER}\n"
         assert not target.exists()
 
     @pytest.mark.parametrize("target", [pytest.param("missing/x.dot", id="no-parent"),
@@ -161,7 +165,8 @@ class TestCounts:
         # each message names the line it could not read
         for text, message in [("2\n0 1 1\n", "malformed arc line '0 1 1'"),
                               ("abc\n", "malformed order line 'abc'"),
-                              ("2\n1 x\n", "malformed arc line '1 x'")]:
+                              ("2\n1 x\n", "malformed arc line '1 x'"),
+                              ("6\n0 1\n", "pattern order must be in [1, 5], got 6")]:
             literal.write_text(text)
             code, out, err = run(capsys, "count-pattern", "--p", "181", "--m", "1", "--n", "2",
                                  "--pattern", str(literal))
@@ -169,6 +174,19 @@ class TestCounts:
             assert out == ""
             assert err == f"error: {message}\n"
             assert "invalid literal" not in err
+
+    def test_over_cap_host_exits_before_build(self, capsys, tmp_path, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("digraph built over the pattern-counting cap")
+
+        monkeypatch.setattr(mdlab.cli, "build_digraph", no_build)
+        literal = tmp_path / "pattern.txt"
+        literal.write_text("2\n0 1\n")
+        code, out, err = run(capsys, "count-pattern", "--p", "17", "--m", "1", "--n", "1",
+                             "--pattern", str(literal))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: count_pattern is capped at q <= {caps.MAX_PATTERN_HOST_ORDER}\n"
 
 
 class TestIso:
