@@ -12,7 +12,7 @@ MAX_TRINOMIAL_DEGREE = 6_000      # d in X^d + aX + b over a prime field
 MAX_EXTENSION_TRINOMIAL_DEGREE = 1_000  # the same over GF(p^k), k > 1
 
 # Digraphs
-MAX_DIGRAPH_ORDER = 181           # q cap for the dense q^2 x q^2 bit matrix
+MAX_DIGRAPH_ORDER = 181           # q cap for D(q; m, n): q^2 rows of q packed 16-bit targets
 MAX_DOT_ORDER = 13                # q cap for DOT export
 
 # Pattern counting

@@ -1,21 +1,26 @@
-"""Monomial digraphs on GF(q) x GF(q) with dense bitset adjacency.
+"""Monomial digraphs on GF(q) x GF(q) with packed target rows.
 
-The vertex (x1, x2) has index code(x1) * q + code(x2); the adjacency
-matrix is stored as one little-endian bitset row (a bytes object) per
-source vertex, so arc tests are single bit lookups and whole-row
-comparisons are memcmp. Rows are immutable and the digraph is safe to
+The vertex (x1, x2) has index code(x1) * q + code(x2); each source
+vertex's row is the immutable bytes of its ascending target indices,
+packed as unsigned 16-bit ints (array type 'H'), so decoding a row is
+one C-level unpack, arc tests bisect the row and whole-row comparisons
+are memcmp. Every vertex of D(q; m, n) has out-degree q, so a row takes
+2q bytes, 362 at q = 181. Rows are immutable and the digraph is safe to
 share across workers. This module alone encodes and decodes rows:
 `neighbor_lists` decodes each row once and transposes once, and keeps the
 out-lists and in-lists on the digraph; relabeled_row() encodes the rows of
 a relabeled copy (for verify_iso and permute_digraph) and converse() the
 in-lists. Refinement in iso reads both lists, and the census reads the
-in-lists, the rows and the loops as int bitmasks through `view`. The lists take about
-285 MB at q = 181, and converse() leaves them cached on its source digraph.
+out-lists, the in-lists and the loops as int bitmasks through `view`. The
+rows of one digraph take about 13 MB at q = 181 and its lists about
+285 MB; converse() leaves the lists cached on its source digraph.
 """
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from . import caps
@@ -24,13 +29,13 @@ from .field import FieldCtx
 
 Vertex = tuple[int, int]
 
-# the set bits of each byte value, counted back from the end of the byte:
-# bit b of the byte that ends at row bit e is row bit e + (b - 8)
-_BYTE_BITS_FROM_END = tuple(tuple(b - 8 for b in range(8) if (v >> b) & 1)
-                            for v in range(256))
-# bytes.translate table: 0 for a zero byte, 1 for any other
-_NONZERO = bytes(1 if v else 0 for v in range(256))
-_inc = (1).__add__
+# every vertex index, below q^2, fits the 16-bit packed targets
+assert caps.MAX_DIGRAPH_ORDER ** 2 <= 1 << 16
+
+
+def _pack(targets) -> bytes:
+    """The packed row of the ascending target indices in targets."""
+    return array("H", targets).tobytes()
 
 
 def normalize_exponent(e: int, q: int) -> int:
@@ -54,7 +59,7 @@ class MonomialDigraph:
     """D(q; m, n): arc (x1,x2) -> (y1,y2) iff x2 + y2 = x1^m * y1^n.
 
     Instances come from build_digraph or converse(); rows is the finished
-    adjacency, one bitset per source index.
+    adjacency, one packed row of ascending targets per source index.
     """
 
     def __init__(self, ctx: FieldCtx, m: int, n: int, rows: tuple[bytes, ...]):
@@ -80,24 +85,17 @@ class MonomialDigraph:
     # -- arc queries --
 
     def has_arc_index(self, i: int, j: int) -> bool:
-        return bool(self.rows[i][j >> 3] >> (j & 7) & 1)
+        targets = memoryview(self.rows[i]).cast("H")
+        k = bisect_left(targets, j)
+        return k < len(targets) and targets[k] == j
 
     def has_arc(self, u: Vertex, v: Vertex) -> bool:
         return self.has_arc_index(self.vertex_index(u), self.vertex_index(v))
 
     def out_indices(self, i: int) -> list[int]:
-        """Targets of source i in ascending order: the set bits of its row.
-
-        The only row decoder. The zero runs between nonzero bytes come from
-        one translate/split at C speed; their lengths accumulate into the
-        end of each nonzero byte, which then expands through its bit table.
-        """
-        row = self.rows[i]
-        gaps = row.translate(_NONZERO).split(b"\x01")
-        gaps.pop()  # the zero run after the last nonzero byte
-        return [(end << 3) + b
-                for end in accumulate(map(_inc, map(len, gaps)))
-                for b in _BYTE_BITS_FROM_END[row[end - 1]]]
+        """Targets of source i in ascending order: its row unpacked, the
+        only row decoder."""
+        return memoryview(self.rows[i]).cast("H").tolist()
 
     def out_neighbors(self, u: Vertex) -> list[Vertex]:
         """Targets of u, ordered by vertex index; always exactly q of them."""
@@ -110,7 +108,7 @@ class MonomialDigraph:
 
     @cached_property
     def arc_count(self) -> int:
-        return sum(int.from_bytes(row, "little").bit_count() for row in self.rows)
+        return sum(map(len, self.rows)) >> 1
 
     # -- loops --
 
@@ -140,36 +138,26 @@ class MonomialDigraph:
 
     @cached_property
     def view(self) -> AdjacencyView:
-        """The rows, the in_index_lists and the loops (bit i of row i) as int
-        bitmasks, for the pattern census; built on first use and kept. The
-        census is capped at q <= caps.MAX_PATTERN_HOST_ORDER, so the view
-        is never built near the dense-matrix cap."""
-        out_masks = tuple(int.from_bytes(row, "little") for row in self.rows)
-        return AdjacencyView(out_masks,
-                             tuple(sum(1 << i for i in sources)
-                                   for sources in self.in_index_lists()),
+        """The out-lists of neighbor_lists, the in_index_lists and the loops
+        (bit i of out-mask i) as int bitmasks, for the pattern census; built
+        on first use and kept. The census is capped at
+        q <= caps.MAX_PATTERN_HOST_ORDER, so the view is never built near
+        the digraph cap."""
+        out_masks, in_masks = (tuple(sum(1 << j for j in indices) for indices in lists)
+                               for lists in (self.neighbor_lists[0], self.in_index_lists()))
+        return AdjacencyView(out_masks, in_masks,
                              sum(1 << i for i, mask in enumerate(out_masks) if mask >> i & 1))
 
     def relabeled_row(self, u: int, mapping) -> bytes:
-        """The bitset row of mapping[u] in the copy of this digraph relabeled
-        by mapping: the images under mapping of the targets of u."""
-        row = bytearray(len(self.rows[0]))
-        for j in self.out_indices(u):
-            t = mapping[j]
-            row[t >> 3] |= 1 << (t & 7)
-        return bytes(row)
+        """The row of mapping[u] in the copy of this digraph relabeled by
+        mapping: the images under mapping of the targets of u, sorted."""
+        return _pack(sorted(map(mapping.__getitem__, self.out_indices(u))))
 
     def converse(self) -> "MonomialDigraph":
         """Arc-reversed digraph, rows from in_index_lists, which stay cached
         on this digraph; parameters (n, m)."""
-        nbytes = len(self.rows[0])
-        rows = []
-        for sources in self.in_index_lists():
-            row = bytearray(nbytes)
-            for i in sources:
-                row[i >> 3] |= 1 << (i & 7)
-            rows.append(bytes(row))
-        return MonomialDigraph(self.ctx, self.n, self.m, tuple(rows))
+        return MonomialDigraph(self.ctx, self.n, self.m,
+                               tuple(map(_pack, self.in_index_lists())))
 
     def same_arcs(self, other: "MonomialDigraph") -> bool:
         return self.order == other.order and self.rows == other.rows
@@ -201,32 +189,24 @@ def build_digraph(ctx: FieldCtx, m: int, n: int) -> MonomialDigraph:
     """Construct D(q; m, n); exponents are normalized into {1, ..., q-1}.
 
     Solves y2 = x1^m * y1^n - x2 for every (x1, x2, y1) in O(q^3) rather
-    than a q^4 filter. The row of (x1, 0) is one int with one target per
-    q-bit block y1; each next row comes from the last by whole-int
-    rotations. Stepping the code x2 to x2 + 1 takes its j lowest base-p
-    digits from p - 1 to 0 and raises digit j, each by 1 mod p, so it adds
-    t^0 + ... + t^j. Subtracting t^i from every target moves the runs of
-    p^i bits down one run in each block of p^(i+1) bits, run 0 wrapping to
-    the top: over a prime field, a one-bit rotation of every q-bit block.
+    than a q^4 filter, with one construction for both field kinds: y2 is
+    read from the q x q table of c - x2, and each x1 lays out its q
+    columns (one per y1, indexed by x2) as one q^2 array of packed targets
+    y1 * q + y2, whose strided slices are the rows of (x1, x2). The
+    offsets y1 * q are added to the whole array at once as one big int,
+    whose 16-bit digits never carry since every target is below q^2.
     """
     q = ctx.q
     if q > caps.MAX_DIGRAPH_ORDER:
-        raise CapExceeded(f"q = {q} exceeds dense-matrix cap {caps.MAX_DIGRAPH_ORDER}")
+        raise CapExceeded(f"q = {q} exceeds digraph cap {caps.MAX_DIGRAPH_ORDER}")
     m, n = normalize_exponent(m, q), normalize_exponent(n, q)
-    p, order = ctx.p, q * q
-    nbytes, ones = (order + 7) >> 3, (1 << order) - 1
-    # digit i: run s = p^i, the lowest run of every (s * p)-bit block, its shift to the top
-    levels = [(s, ones // ((1 << s * p) - 1) * ((1 << s) - 1), s * (p - 1))
-              for s in (p**i for i in range(ctx.k))]
-    # after x2, rotate at each level i whose run p^i divides x2 + 1
-    steps = [[lv for lv in levels if (x2 + 1) % lv[0] == 0] for x2 in range(q)]
     pm, pn = ([ctx.pow(x, e) for x in range(q)] for e in (m, n))
+    columns = [_pack([ctx.sub(c, x2) for x2 in range(q)]) for c in range(q)]
+    offsets = int.from_bytes(_pack([y1 * q for y1 in range(q) for _ in range(q)]), sys.byteorder)
     rows = []
     for x1 in range(q):
-        r = sum(1 << (y1 * q + ctx.mul(pm[x1], pn[y1])) for y1 in range(q))
-        for step in steps:
-            rows.append(r.to_bytes(nbytes, "little"))
-            for s, low_runs, wrap in step:
-                low = r & low_runs
-                r = ((r ^ low) >> s) | (low << wrap)
+        block = b"".join([columns[ctx.mul(pm[x1], pn[y1])] for y1 in range(q)])
+        packed = offsets + int.from_bytes(block, sys.byteorder)
+        targets = memoryview(packed.to_bytes(len(block), sys.byteorder)).cast("H")
+        rows.extend(targets[x2::q].tobytes() for x2 in range(q))
     return MonomialDigraph(ctx, m, n, tuple(rows))

@@ -17,11 +17,11 @@ fresh color and refines both jointly, pruning a branch as soon as their
 signatures differ. The budget is counted in these expansions, not
 wall-clock, so runs are machine-independent.
 
-Only the digraph module encodes and decodes bitset rows. Refinement
-reads each digraph's out-lists and in-lists from
-`MonomialDigraph.neighbor_lists`, which it builds and keeps, and
-verify_iso and permute_digraph compare and assemble the rows that
-`MonomialDigraph.relabeled_row` encodes. decide_iso and brute_force_iso
+Only the digraph module encodes and decodes the packed target rows.
+Refinement and the 2-cycle count read each digraph's out-lists and
+in-lists from `MonomialDigraph.neighbor_lists`, which it builds and
+keeps, and verify_iso and permute_digraph compare and assemble the rows
+that `MonomialDigraph.relabeled_row` encodes. decide_iso and brute_force_iso
 share one cached result per digraph for its refinement colors, cheap
 invariants and fingerprint, kept as private attributes of the digraph,
 so they are dropped with it. The public color_refinement,
@@ -215,10 +215,10 @@ class Fingerprint:
 def cheap_invariants(D: MonomialDigraph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """The fingerprint without its pattern census: (loop count, 2-cycle
     count, refinement histogram)."""
-    out_lists, _ = D.neighbor_lists
+    out_lists, in_lists = D.neighbor_lists
     two_cycles = sum(
-        1 for i, targets in enumerate(out_lists)
-        for j in targets if j > i and D.has_arc_index(j, i)
+        1 for i, (targets, sources) in enumerate(zip(out_lists, in_lists))
+        for j in set(targets).intersection(sources) if j > i
     )
     histogram = tuple(sorted(Counter(_cached(D, "colors", color_refinement)).items()))
     return len(D.loop_indices()), two_cycles, histogram

@@ -63,11 +63,11 @@ class TestBuild:
         assert text.startswith('digraph "D_3_1_2" {')
         assert text.count("->") == 27
 
-    def test_dot_cap_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "build", "--p", "17", "--m", "1", "--n", "1",
-                           "--dot", str(tmp_path / "x.dot"))
+    def test_over_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "build", "--p", "191", "--m", "1", "--n", "2")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err == f"error: q = 191 exceeds digraph cap {caps.MAX_DIGRAPH_ORDER}\n"
 
     def test_dot_over_cap_prints_nothing(self, capsys, tmp_path, monkeypatch):
         def no_build(*args):

@@ -3,6 +3,7 @@ brute-force arc-equation oracle for everything else."""
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -84,7 +85,7 @@ class TestConstruction:
             build_digraph(prime_field(3), -1, 2)
 
     def test_matrix_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=r"^q = 191 exceeds digraph cap 181$"):
             build_digraph(prime_field(191), 1, 1)
 
     @pytest.mark.parametrize("p,k,m,n", [(3, 1, 1, 2), (5, 1, 2, 3), (2, 2, 1, 1),
@@ -145,24 +146,37 @@ class TestConverse:
                 == permute_digraph(D.converse(), shuffled).rows)
 
 
-def bits_of(row: bytes) -> list[int]:
-    """Oracle: every set bit of a row, tested one position at a time."""
-    return [j for j in range(8 * len(row)) if row[j >> 3] >> (j & 7) & 1]
-
-
-def decode(row: bytes) -> list[int]:
-    return MonomialDigraph(prime_field(3), 1, 1, (row,)).out_indices(0)
-
-
 def row_by_equation(ctx, m, n, x1, x2):
-    """Oracle row of (x1, x2), one target per y1 and no rotation: bit
-    y1*q + y2 is set exactly when y2 = x1^m * y1^n - x2 in the field."""
+    """Oracle row of (x1, x2): one target y1*q + y2 per y1, where
+    y2 = x1^m * y1^n - x2 in the field, packed as ascending 16-bit ints."""
     q = ctx.q
-    row = bytearray((q * q + 7) >> 3)
-    for y1 in range(q):
-        t = y1 * q + ctx.sub(ctx.mul(ctx.pow(x1, m), ctx.pow(y1, n)), x2)
-        row[t >> 3] |= 1 << (t & 7)
-    return bytes(row)
+    targets = [y1 * q + ctx.sub(ctx.mul(ctx.pow(x1, m), ctx.pow(y1, n)), x2)
+               for y1 in range(q)]
+    return array("H", targets).tobytes()
+
+
+def from_target_lists(ctx, lists):
+    """A digraph on ctx.q^2 vertices whose row i packs the ascending lists[i]."""
+    return MonomialDigraph(ctx, 1, 1, tuple(array("H", t).tobytes() for t in lists))
+
+
+def check_against_sets(D, lists):
+    """Every row reader of D against the arc set {(i, j) : j in lists[i]}."""
+    order = range(D.order)
+    arcs = {(i, j) for i in order for j in lists[i]}
+    assert [D.out_indices(i) for i in order] == [list(t) for t in lists]
+    assert all(D.has_arc_index(i, j) == ((i, j) in arcs) for i in order for j in order)
+    assert list(D.arcs()) == sorted(arcs)
+    assert D.arc_count == len(arcs)
+    C = D.converse()
+    assert [C.out_indices(j) for j in order] == [sorted(i for i, t in arcs if t == j)
+                                                 for j in order]
+    assert C.converse().same_arcs(D)
+    assert D.same_arcs(from_target_lists(D.ctx, lists))
+    out_masks, in_masks, loop_mask = D.view
+    assert out_masks == tuple(sum(1 << j for j in lists[i]) for i in order)
+    assert in_masks == tuple(sum(1 << i for i, t in arcs if t == j) for j in order)
+    assert loop_mask == sum(1 << i for i in order if (i, i) in arcs)
 
 
 class TestRowDecoder:
@@ -179,22 +193,28 @@ class TestRowDecoder:
                 assert G.out_indices(i) == [j for j in range(G.order)
                                             if G.has_arc_index(i, j)]
 
-    @pytest.mark.parametrize("row", [
-        b"",
-        bytes(2),                 # all zero
-        b"\xff\xff",              # all set: every bit of GF(4)'s 16
-        b"\x08",                  # last bit of GF(2)'s half-used byte
-        b"\x00\x01",              # last bit of GF(3)'s one-bit final byte
-        b"\x05\x00\xa0\x81",      # several bits per byte
-        b"\x80" + bytes(9) + b"\x03",
-    ])
-    def test_hand_made_rows(self, row):
-        assert decode(row) == bits_of(row)
+    def test_hand_picked_rows(self):
+        # GF(3): 9 vertices; an empty row, one target, the last index
+        # (order - 1), every index, a loop, and degrees 0 to 9
+        lists = [[], [0], [8], list(range(9)), [3], [1, 2, 7], [0, 8], [], [4, 5, 6, 8]]
+        check_against_sets(from_target_lists(prime_field(3), lists), lists)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=64))
-    def test_random_rows(self, row):
-        assert decode(row) == bits_of(row)
+    def test_same_arcs_tells_rows_apart(self):
+        ctx = prime_field(2)
+        D = from_target_lists(ctx, [[1], [], [0, 3], [2]])
+        assert not D.same_arcs(from_target_lists(ctx, [[1], [], [0, 2], [2]]))
+        assert not D.same_arcs(from_target_lists(ctx, [[1], [0], [0, 3], [2]]))
+        assert not D.same_arcs(build_digraph(prime_field(3), 1, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 4]).flatmap(lambda q: st.tuples(
+        st.just(q), st.lists(st.sets(st.integers(0, q * q - 1)),
+                             min_size=q * q, max_size=q * q))))
+    def test_drawn_rows(self, drawn):
+        q, sets = drawn
+        ctx = extension_field(2, 2) if q == 4 else prime_field(q)
+        lists = [sorted(t) for t in sets]
+        check_against_sets(from_target_lists(ctx, lists), lists)
 
 
 class TestRotationBuild:
@@ -223,7 +243,7 @@ class TestRotationBuild:
     def test_spot_check_at_cap(self):
         self.spot_check(prime_field(181), 7, 49)
 
-    # extension fields too large to check in full; up to six carry levels
+    # extension fields too large to check in full, up to degree six
     @pytest.mark.parametrize("p,k", [(7, 2), (2, 6), (3, 4), (11, 2), (5, 3), (13, 2)])
     def test_spot_check_extension_field(self, p, k):
         self.spot_check(extension_field(p, k), 7, 49)

@@ -30,6 +30,7 @@ from mdlab.iso import (
     brute_force_iso,
     certificate_from_json,
     certificate_to_json,
+    cheap_invariants,
     color_refinement,
     decide_iso,
     find_power_map,
@@ -103,6 +104,18 @@ class TestVerify:
             assert result.ok == (result.witness is None)
             failures += not result.ok
         assert failures
+
+    def test_broken_power_map_at_cap(self):
+        # two swapped images of the q = 181 power map k = 7: the scan
+        # reaches source 5, the first whose row moves, after 6 * 181^2 pairs
+        ctx = prime_field(181)
+        D1, D2 = build_digraph(ctx, 7, 49), build_digraph(ctx, 1, 7)
+        broken = list(power_map_iso(D1, D2, 7))
+        broken[5], broken[20000] = broken[20000], broken[5]
+        result = verify_iso(D1, D2, tuple(broken))
+        assert not result.ok
+        assert result.witness == violation_scan(D1, D2, broken)
+        assert result.witness[0] == (0, 5)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -460,6 +473,18 @@ class TestSharedInvariants:
         f2 = fingerprint(build_digraph(ctx, n, m))
         assert f1.loop_count == f2.loop_count
         assert f1.two_cycle_count == f2.two_cycle_count
+
+    @pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
+    def test_two_cycles_match_arc_tests(self, p, k):
+        # the count from the neighbor lists against a has_arc_index scan
+        ctx = extension_field(p, k)
+        D = build_digraph(ctx, 1, ctx.q - 2)
+        shuffled = list(range(D.order))
+        random.Random(ctx.q).shuffle(shuffled)
+        for G in (D, D.converse(), permute_digraph(D, shuffled),
+                  build_digraph(ctx, 2, 3), build_digraph(ctx, 3, 3)):
+            by_arc_tests = sum(1 for i, j in G.arcs() if j > i and G.has_arc_index(j, i))
+            assert cheap_invariants(G)[1] == by_arc_tests
 
     def test_certified_pair_has_equal_pattern_counts(self):
         # a verified isomorphism carries every subdigraph census with it,
