@@ -199,6 +199,24 @@ class TestRowDecoder:
         lists = [[], [0], [8], list(range(9)), [3], [1, 2, 7], [0, 8], [], [4, 5, 6, 8]]
         check_against_sets(from_target_lists(prime_field(3), lists), lists)
 
+    # hand-made bit patterns: the set bits of each byte string (bit j is
+    # bit j & 7 of byte j >> 3) are the targets of the first and last rows
+    # of a digraph over the smallest prime field with room for every bit
+    @pytest.mark.parametrize("row", [
+        b"",
+        bytes(2),                 # no bits: two empty rows
+        b"\xff\xff",              # every bit of two bytes: 16 targets
+        b"\x08",                  # one target, bit 3
+        b"\x00\x01",              # one target past the first byte
+        b"\x05\x00\xa0\x81",      # several bits per byte
+        b"\x80" + bytes(9) + b"\x03",
+    ])
+    def test_hand_made_rows(self, row):
+        bits = [j for j in range(8 * len(row)) if row[j >> 3] >> (j & 7) & 1]
+        q = next(p for p in (2, 3, 5, 7, 11) if p * p >= 8 * len(row))
+        lists = [bits] + [[] for _ in range(q * q - 2)] + [bits]
+        check_against_sets(from_target_lists(prime_field(q), lists), lists)
+
     def test_same_arcs_tells_rows_apart(self):
         ctx = prime_field(2)
         D = from_target_lists(ctx, [[1], [], [0, 3], [2]])
