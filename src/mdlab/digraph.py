@@ -9,11 +9,21 @@ are memcmp. Every vertex of D(q; m, n) has out-degree q, so a row takes
 share across workers. This module alone encodes and decodes rows:
 `neighbor_lists` decodes each row once and transposes once, and keeps the
 out-lists and in-lists on the digraph; relabeled_row() encodes the rows of
-a relabeled copy (for verify_iso and permute_digraph) and converse() the
-in-lists. Refinement in iso reads both lists, and the census reads the
-out-lists, the in-lists and the loops as int bitmasks through `view`. The
-rows of one digraph take about 13 MB at q = 181 and its lists about
-285 MB; converse() leaves the lists cached on its source digraph.
+a relabeled copy (for permute_digraph), first_relabeling_mismatch()
+compares them with another digraph's rows (for verify_iso), and
+converse() encodes the in-lists. Refinement in iso reads both lists, and
+the census reads the out-lists, the in-lists and the loops as int
+bitmasks through `view`. The rows of one digraph take about 13 MB at
+q = 181 and its lists about 285 MB; converse() leaves the lists cached on
+its source digraph.
+
+A row holds one target per y1 block, in block order, and a product map
+(x1, x2) -> (f1(x1), f2(x2)), such as a power map, sends every row's
+targets through the same block permutation y1 -> f1(y1). So the order
+that sorts the first row's images sorts every row's:
+first_relabeling_mismatch() sorts once and lays each later row's images
+out in that order, and sorts each row only from the first row on which
+the order misses.
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from . import caps
@@ -36,6 +47,15 @@ assert caps.MAX_DIGRAPH_ORDER ** 2 <= 1 << 16
 def _pack(targets) -> bytes:
     """The packed row of the ascending target indices in targets."""
     return array("H", targets).tobytes()
+
+
+def _gather(seq, indices) -> tuple:
+    """seq[i] for each i in indices, as a tuple, gathered in C by one
+    itemgetter; itemgetter returns a bare item for one index and needs at
+    least one, so rows of 0 or 1 targets are gathered in Python."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(seq[i] for i in indices)
 
 
 def normalize_exponent(e: int, q: int) -> int:
@@ -151,7 +171,35 @@ class MonomialDigraph:
     def relabeled_row(self, u: int, mapping) -> bytes:
         """The row of mapping[u] in the copy of this digraph relabeled by
         mapping: the images under mapping of the targets of u, sorted."""
-        return _pack(sorted(map(mapping.__getitem__, self.out_indices(u))))
+        return _pack(sorted(_gather(mapping, self.out_indices(u))))
+
+    def first_relabeling_mismatch(self, other: "MonomialDigraph", mapping) -> int | None:
+        """The first source u, in index order, whose relabeled_row differs
+        from other's row of mapping[u], or None if mapping carries this
+        digraph onto other; mapping must be a permutation of the indices.
+
+        The images of the first row's targets fix one order, the one that
+        sorts them. Each row's images are laid out in that order and
+        compared with other's row: other's row is ascending, so laid-out
+        images equal to it are its targets, and a match is exact. From the
+        first row of another width, or whose laid-out images differ, every
+        row's images are sorted as relabeled_row sorts them, so a
+        relabeling that is not a product map pays for one guess only.
+        """
+        rows = other.rows
+        layout = None  # lays images out in the first row's order while it fits
+        for u in range(self.order):
+            images = _gather(mapping, self.out_indices(u))
+            if u == 0 and len(images) > 1:
+                width = len(images)
+                layout = itemgetter(*sorted(range(width), key=images.__getitem__))
+            if layout is not None:
+                if len(images) == width and _pack(layout(images)) == rows[mapping[u]]:
+                    continue
+                layout = None  # the order missed: sort every row from here on
+            if _pack(sorted(images)) != rows[mapping[u]]:
+                return u
+        return None
 
     def converse(self) -> "MonomialDigraph":
         """Arc-reversed digraph, rows from in_index_lists, which stay cached

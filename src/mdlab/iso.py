@@ -20,8 +20,13 @@ wall-clock, so runs are machine-independent.
 Only the digraph module encodes and decodes the packed target rows.
 Refinement and the 2-cycle count read each digraph's out-lists and
 in-lists from `MonomialDigraph.neighbor_lists`, which it builds and
-keeps, and verify_iso and permute_digraph compare and assemble the rows
-that `MonomialDigraph.relabeled_row` encodes. decide_iso and brute_force_iso
+keeps. permute_digraph assembles the rows that
+`MonomialDigraph.relabeled_row` encodes, and verify_iso asks
+`MonomialDigraph.first_relabeling_mismatch` for the first row that a
+mapping does not carry onto the other digraph's; that method sorts the
+images of one row and lays every later row's out in the same order while
+it fits, so a power-map or Frobenius certificate costs one sort, not one
+per row. decide_iso and brute_force_iso
 share one cached result per digraph for its refinement colors, cheap
 invariants and fingerprint, kept as private attributes of the digraph,
 so they are dropped with it. The public color_refinement,
@@ -68,18 +73,24 @@ def _check_permutation(mapping, order: int) -> None:
 def verify_iso(D1: MonomialDigraph, D2: MonomialDigraph, mapping) -> VerifyResult:
     """Exhaustively check that mapping preserves adjacency and
     non-adjacency; on failure reports the first violating source pair in
-    index order."""
+    index order.
+
+    `MonomialDigraph.first_relabeling_mismatch` compares every relabeled
+    row of D1 with its row in D2 as bytes, laying each row's images out in
+    the order that sorts the first row's, so a product map such as a power
+    map sorts one row, not every row. Only the first row that differs is
+    scanned pair by pair, for the witness."""
     if D1.order != D2.order:
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
     _check_permutation(mapping, D1.order)
-    for u in range(D1.order):
-        if D1.relabeled_row(u, mapping) != D2.rows[mapping[u]]:
-            mu = mapping[u]
-            for v in range(D1.order):
-                if D1.has_arc_index(u, v) != D2.has_arc_index(mu, mapping[v]):
-                    return VerifyResult(False, (D1.vertex_at(u), D1.vertex_at(v)))
-            raise AssertionError("row mismatch without a differing bit")
-    return VerifyResult(True, None)
+    u = D1.first_relabeling_mismatch(D2, mapping)
+    if u is None:
+        return VerifyResult(True, None)
+    mu = mapping[u]
+    for v in range(D1.order):
+        if D1.has_arc_index(u, v) != D2.has_arc_index(mu, mapping[v]):
+            return VerifyResult(False, (D1.vertex_at(u), D1.vertex_at(v)))
+    raise AssertionError("row mismatch without a differing arc")
 
 
 def _product_map(D1: MonomialDigraph, D2: MonomialDigraph, f1, f2, name: str) -> Certificate:

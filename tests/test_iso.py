@@ -7,6 +7,7 @@ import gc
 import random
 import sys
 import weakref
+from array import array
 from collections import Counter
 from itertools import combinations
 from math import gcd
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mdlab.digraph import build_digraph
+import mdlab.digraph
+from mdlab.digraph import MonomialDigraph, build_digraph
 from mdlab.errors import CongruenceFailed, NotCoprime, SizeMismatch
 from mdlab.field import extension_field, prime_field
 from mdlab.iso import (
@@ -61,6 +63,49 @@ def violation_scan(D1, D2, mapping):
             if D1.has_arc_index(u, v) != D2.has_arc_index(mapping[u], mapping[v]):
                 return (D1.vertex_at(u), D1.vertex_at(v))
     return None
+
+
+def from_target_lists(ctx, lists):
+    """A hand-made digraph on ctx.q^2 vertices whose row i packs the
+    ascending lists[i]."""
+    return MonomialDigraph(ctx, 1, 1, tuple(array("H", t).tobytes() for t in lists))
+
+
+@st.composite
+def relabeling_cases(draw):
+    """(D1, D2, mapping): D1 hand-made (rows of any width, empty ones
+    too), built, a converse or a permuted copy; mapping a random
+    permutation or a product map (x1, x2) -> (f1[x1], f2[x2]), whose
+    images the first row's order lays out ascending on every row of q
+    targets; D2 the copy of D1 relabeled by mapping, or another digraph;
+    and, in some cases, two images of mapping swapped afterwards."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    ctx = extension_field(2, 2) if q == 4 else prime_field(q)
+    order = q * q
+    kind = draw(st.sampled_from(["hand-made", "built", "converse", "permuted"]))
+    if kind == "hand-made":
+        sets = draw(st.lists(st.sets(st.integers(0, order - 1)),
+                             min_size=order, max_size=order))
+        D1 = from_target_lists(ctx, [sorted(t) for t in sets])
+    else:
+        D1 = build_digraph(ctx, draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1)))
+        if kind == "converse":
+            D1 = D1.converse()
+        elif kind == "permuted":
+            D1 = permute_digraph(D1, draw(st.permutations(range(order))))
+    if draw(st.booleans()):
+        mapping = list(draw(st.permutations(range(order))))
+    else:
+        f1, f2 = draw(st.permutations(range(q))), draw(st.permutations(range(q)))
+        mapping = [y1 * q + y2 for y1 in f1 for y2 in f2]
+    if draw(st.booleans()):
+        D2 = permute_digraph(D1, mapping)
+    else:
+        D2 = build_digraph(ctx, draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1)))
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2, unique=True))
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+    return D1, D2, tuple(mapping)
 
 
 class TestVerify:
@@ -116,6 +161,57 @@ class TestVerify:
         assert not result.ok
         assert result.witness == violation_scan(D1, D2, broken)
         assert result.witness[0] == (0, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(relabeling_cases())
+    def test_first_witness_on_any_rows(self, case):
+        D1, D2, mapping = case
+        result = verify_iso(D1, D2, mapping)
+        assert result.witness == violation_scan(D1, D2, mapping)
+        assert result.ok == (result.witness is None)
+
+    @staticmethod
+    def count_sorts(monkeypatch):
+        """Calls of sorted made from mdlab.digraph from now on."""
+        calls = []
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+        monkeypatch.setattr(mdlab.digraph, "sorted", counted, raising=False)
+        return calls
+
+    def test_power_map_sorts_one_row(self, monkeypatch):
+        # D(31;7,19) -> D(31;1,7) by the k = 7 power map: every one of the
+        # 961 rows is laid out in the first row's order; sorting each row
+        # took 961 sorts
+        ctx = prime_field(31)
+        D1, D2 = build_digraph(ctx, 7, 19), build_digraph(ctx, 1, 7)
+        cert = power_map_iso(D1, D2, 7)
+        perm = list(range(D1.order))
+        random.Random(31).shuffle(perm)
+        P = permute_digraph(D1, perm)
+        sorts = self.count_sorts(monkeypatch)
+        assert verify_iso(D1, D2, cert).ok
+        assert len(sorts) <= 1
+        # a relabeling that is not a product map: the order misses at once
+        # and every row is sorted
+        assert verify_iso(D1, P, perm).ok
+
+    def test_broken_power_map_in_last_block(self, monkeypatch):
+        # two swapped images inside the last x1 block keep the block order,
+        # so the first row's order fits every row up to the first whose
+        # targets hold a swapped vertex, (0, 14) with target (30, 17); that
+        # row alone is sorted again
+        ctx = prime_field(31)
+        D1, D2 = build_digraph(ctx, 7, 19), build_digraph(ctx, 1, 7)
+        broken = list(power_map_iso(D1, D2, 7))
+        a, b = 30 * 31 + 2, 30 * 31 + 17
+        broken[a], broken[b] = broken[b], broken[a]
+        sorts = self.count_sorts(monkeypatch)
+        result = verify_iso(D1, D2, tuple(broken))
+        assert len(sorts) <= 2
+        assert not result.ok
+        assert result.witness == violation_scan(D1, D2, broken) == ((0, 14), (30, 2))
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
