@@ -18,12 +18,15 @@ q = 181 and its lists about 285 MB; converse() leaves the lists cached on
 its source digraph.
 
 A row holds one target per y1 block, in block order, and a product map
-(x1, x2) -> (f1(x1), f2(x2)), such as a power map, sends every row's
-targets through the same block permutation y1 -> f1(y1). So the order
-that sorts the first row's images sorts every row's:
-first_relabeling_mismatch() sorts once and lays each later row's images
-out in that order, and sorts each row only from the first row on which
-the order misses.
+(x1, x2) -> (f1(x1), f2(x2)), such as a power or the Frobenius map, sends
+every row's targets through the same block permutation y1 -> f1(y1). So
+first_relabeling_mismatch() certifies such a map one x1 block of q rows
+at a time, with big-int, bytes.translate and slice operations on the
+packed rows, decoding only the first row. From the first block it cannot
+certify, it checks each row on its own: the order that sorts the first
+row's images sorts every row's under a product map, so it sorts once and
+lays each later row's images out in that order, and sorts each row only
+from the first row on which the order misses.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ Vertex = tuple[int, int]
 
 # every vertex index, below q^2, fits the 16-bit packed targets
 assert caps.MAX_DIGRAPH_ORDER ** 2 <= 1 << 16
+# every y2, below q, fits a byte, which _product_blocks translates
+assert caps.MAX_DIGRAPH_ORDER < 256
 
 
 def _pack(targets) -> bytes:
@@ -178,21 +183,24 @@ class MonomialDigraph:
         from other's row of mapping[u], or None if mapping carries this
         digraph onto other; mapping must be a permutation of the indices.
 
-        The images of the first row's targets fix one order, the one that
-        sorts them. Each row's images are laid out in that order and
-        compared with other's row: other's row is ascending, so laid-out
-        images equal to it are its targets, and a match is exact. From the
-        first row of another width, or whose laid-out images differ, every
-        row's images are sorted as relabeled_row sorts them, so a
-        relabeling that is not a product map pays for one guess only.
+        When mapping is a product map, _product_blocks certifies whole x1
+        blocks of q rows at once. From the first block it cannot certify,
+        each row is checked on its own: the images of the first row's
+        targets fix one order, the one that sorts them, and each row's
+        images are laid out in that order and compared with other's row.
+        Other's row is ascending, so laid-out images equal to it are its
+        targets, and a match is exact. From the first row of another width,
+        or whose laid-out images differ, every row's images are sorted as
+        relabeled_row sorts them, so a relabeling that is not a product map
+        pays for one guess only.
         """
         rows = other.rows
-        layout = None  # lays images out in the first row's order while it fits
-        for u in range(self.order):
-            images = _gather(mapping, self.out_indices(u))
-            if u == 0 and len(images) > 1:
-                width = len(images)
-                layout = itemgetter(*sorted(range(width), key=images.__getitem__))
+        first = _gather(mapping, self.out_indices(0))
+        width = len(first)
+        # lays images out in the first row's order while it fits
+        layout = itemgetter(*sorted(range(width), key=first.__getitem__)) if width > 1 else None
+        for u in range(self._product_blocks(other, mapping) * self.q, self.order):
+            images = _gather(mapping, self.out_indices(u)) if u else first
             if layout is not None:
                 if len(images) == width and _pack(layout(images)) == rows[mapping[u]]:
                     continue
@@ -200,6 +208,64 @@ class MonomialDigraph:
             if _pack(sorted(images)) != rows[mapping[u]]:
                 return u
         return None
+
+    def _product_blocks(self, other: "MonomialDigraph", mapping) -> int:
+        """How many leading x1 blocks of q rows mapping carries onto
+        other's rows, each certified by a handful of C-level byte and
+        big-int operations; 0 unless mapping is a product map
+        (x1, x2) -> (f1[x1], f2[x2]) and every row holds q targets.
+
+        A block's rows join into q^2 targets, row after row, the j-th of
+        each in y1 block j. Less the offsets j * q, the joined targets give
+        the y2 of every target in the low byte of its 16-bit digit; those
+        bytes go through f2 by one translate, and the image row's block i
+        is the source's block f1^-1(i), so q strided slice assignments
+        reorder the columns. Widened and with the offsets added back, the
+        block is the relabeled rows, ascending, which must equal the join
+        of other's rows at mapping[lo:lo + q].
+        """
+        q = self.q
+        f1 = [mapping[x1 * q] // q for x1 in range(q)]
+        f2 = [mapping[x2] % q for x2 in range(q)]
+        # f1 and f2 are read off the mapping, so it must be built from them
+        if any(tuple(mapping[x1 * q:x1 * q + q]) != tuple([y1 * q + y2 for y2 in f2])
+               for x1, y1 in enumerate(f1)):
+            return 0
+        # rows of q targets join into a block of q^2, and equal joins of
+        # other's rows mean equal rows
+        if set(map(len, self.rows)) | set(map(len, other.rows)) != {2 * q}:
+            return 0
+        size = 2 * q * q
+        first_low = int(sys.byteorder == "big")  # the low byte of digit 0
+        low, high = slice(first_low, None, 2), slice(1 - first_low, None, 2)
+        offsets = int.from_bytes(_pack(list(range(0, q * q, q)) * q), sys.byteorder)
+        zeros, digits = bytes(q * q), bytes(range(q))
+        table = bytes(f2) + bytes(256 - q)  # y2 -> f2[y2], one byte each
+        source = [0] * q  # source[i] = f1^-1(i), the column that image column i comes from
+        for x1, y1 in enumerate(f1):
+            source[y1] = x1
+        wide = bytearray(size)  # the image's y2 in its low bytes; the high bytes stay 0
+        rows = other.rows
+        for x1 in range(q):
+            lo = x1 * q
+            try:
+                packed = (int.from_bytes(b"".join(self.rows[lo:lo + q]), sys.byteorder)
+                          - offsets).to_bytes(size, sys.byteorder)
+            except OverflowError:  # negative: a borrow ran out of the top digit
+                return x1
+            y2 = packed[low]
+            # a borrow leaves a high byte set in the digit it starts from, so
+            # zero high bytes and low bytes below q mean each target lies in
+            # its block j at j * q + y2
+            if packed[high] != zeros or y2.translate(None, digits):
+                return x1
+            y2 = y2.translate(table)
+            for i in range(q):
+                wide[first_low + 2 * i::2 * q] = y2[source[i]::q]
+            relabeled = (int.from_bytes(wide, sys.byteorder) + offsets).to_bytes(size, sys.byteorder)
+            if relabeled != b"".join(_gather(rows, mapping[lo:lo + q])):
+                return x1
+        return q
 
     def converse(self) -> "MonomialDigraph":
         """Arc-reversed digraph, rows from in_index_lists, which stay cached

@@ -23,10 +23,14 @@ in-lists from `MonomialDigraph.neighbor_lists`, which it builds and
 keeps. permute_digraph assembles the rows that
 `MonomialDigraph.relabeled_row` encodes, and verify_iso asks
 `MonomialDigraph.first_relabeling_mismatch` for the first row that a
-mapping does not carry onto the other digraph's; that method sorts the
-images of one row and lays every later row's out in the same order while
-it fits, so a power-map or Frobenius certificate costs one sort, not one
-per row. decide_iso and brute_force_iso
+mapping does not carry onto the other digraph's. That method certifies a
+product map (x1, x2) -> (f1(x1), f2(x2)), such as a power-map, Frobenius
+or scaling certificate, one x1 block of q rows at a time on the packed
+bytes, decoding only the first row; from the first block it cannot
+certify, it checks each row on its own, sorting the images of one row
+and laying every later row's out in the same order while it fits, so
+the first mismatching row, and the witness, do not depend on the path.
+decide_iso and brute_force_iso
 share one cached result per digraph for its refinement colors, cheap
 invariants and fingerprint, kept as private attributes of the digraph,
 so they are dropped with it. The public color_refinement,
@@ -76,10 +80,12 @@ def verify_iso(D1: MonomialDigraph, D2: MonomialDigraph, mapping) -> VerifyResul
     index order.
 
     `MonomialDigraph.first_relabeling_mismatch` compares every relabeled
-    row of D1 with its row in D2 as bytes, laying each row's images out in
-    the order that sorts the first row's, so a product map such as a power
-    map sorts one row, not every row. Only the first row that differs is
-    scanned pair by pair, for the witness."""
+    row of D1 with its row in D2 as bytes: a product map such as a power
+    map is certified one x1 block of q rows at a time, decoding only the
+    first row, and from the first block that is not, each row's images are
+    laid out in the order that sorts the first row's. Either way every arc
+    is checked, and only the first row that differs is scanned pair by
+    pair, for the witness."""
     if D1.order != D2.order:
         raise SizeMismatch(f"orders differ: {D1.order} vs {D2.order}")
     _check_permutation(mapping, D1.order)

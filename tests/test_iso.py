@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import mdlab.digraph
 from mdlab.digraph import MonomialDigraph, build_digraph
 from mdlab.errors import CongruenceFailed, NotCoprime, SizeMismatch
-from mdlab.field import extension_field, prime_field
+from mdlab.field import extension_field, prime_field, prime_power
 from mdlab.iso import (
     CENSUS,
     EXHAUSTED,
@@ -106,6 +106,54 @@ def relabeling_cases(draw):
         a, b = draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2, unique=True))
         mapping[a], mapping[b] = mapping[b], mapping[a]
     return D1, D2, tuple(mapping)
+
+
+@st.composite
+def product_map_cases(draw):
+    """(D1, D2, mapping): mapping a product map (x1, x2) -> (f1[x1], f2[x2])
+    with random f1 and f2, a power map (f1 = x^k, f2 the identity) or the
+    Frobenius map (f1 = f2 = x^p); D1 a built digraph or a permuted copy of
+    one, whose rows lose the block structure; D2 the copy of D1 relabeled
+    by mapping, that copy with two rows of one block swapped, or another
+    built digraph; and, in some cases, two images of mapping inside one
+    random x1 block swapped afterwards."""
+    q = draw(st.sampled_from([4, 5, 7, 8, 9, 25]))
+    ctx = extension_field(*prime_power(q))
+    order = q * q
+    D1 = build_digraph(ctx, draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1)))
+    kind = draw(st.sampled_from(["random", "power", "frobenius"]))
+    if kind == "random":
+        f1, f2 = draw(st.permutations(range(q))), draw(st.permutations(range(q)))
+    elif kind == "power":
+        k = draw(st.sampled_from([k for k in range(1, q) if gcd(k, q - 1) == 1]))
+        f1, f2 = [ctx.pow(x, k) for x in range(q)], range(q)
+    else:
+        f1 = f2 = [ctx.pow(x, ctx.p) for x in range(q)]
+    mapping = [y1 * q + y2 for y1 in f1 for y2 in f2]
+    if draw(st.booleans()):
+        D1 = permute_digraph(D1, draw(st.permutations(range(order))))
+    target = draw(st.sampled_from(["copy", "swapped rows", "built"]))
+    if target == "built":
+        D2 = build_digraph(ctx, draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1)))
+    else:
+        D2 = permute_digraph(D1, mapping)
+        if target == "swapped rows":
+            lo = draw(st.integers(0, q - 1)) * q
+            a, b = draw(st.lists(st.integers(lo, lo + q - 1), min_size=2, max_size=2, unique=True))
+            rows = list(D2.rows)
+            rows[a], rows[b] = rows[b], rows[a]
+            D2 = MonomialDigraph(ctx, D2.m, D2.n, tuple(rows))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, q - 1)) * q
+        a, b = draw(st.lists(st.integers(lo, lo + q - 1), min_size=2, max_size=2, unique=True))
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+    return D1, D2, tuple(mapping)
+
+
+def generator(ctx):
+    """The smallest code of order q - 1 in GF(q)'s unit group."""
+    q = ctx.q
+    return next(a for a in range(1, q) if len({ctx.pow(a, e) for e in range(1, q)}) == q - 1)
 
 
 class TestVerify:
@@ -212,6 +260,91 @@ class TestVerify:
         assert len(sorts) <= 2
         assert not result.ok
         assert result.witness == violation_scan(D1, D2, broken) == ((0, 14), (30, 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_map_cases())
+    def test_first_witness_under_product_maps(self, case):
+        D1, D2, mapping = case
+        result = verify_iso(D1, D2, mapping)
+        assert result.witness == violation_scan(D1, D2, mapping)
+        assert result.ok == (result.witness is None)
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        """Rows decoded by MonomialDigraph.out_indices from now on."""
+        calls = []
+        out_indices = MonomialDigraph.out_indices
+        def counted(self, i):
+            calls.append(i)
+            return out_indices(self, i)
+        monkeypatch.setattr(MonomialDigraph, "out_indices", counted)
+        return calls
+
+    def test_power_map_at_cap_decodes_one_row(self, monkeypatch):
+        # D(181;7,49) -> D(181;1,7) by the k = 7 power map: whole x1 blocks
+        # are certified from the packed rows, and only the first row, which
+        # fixes the per-row order, is decoded; decoding every row took
+        # 32,761 calls
+        ctx = prime_field(181)
+        D1, D2 = build_digraph(ctx, 7, 49), build_digraph(ctx, 1, 7)
+        cert = tuple(y1 * 181 + y2 for y1 in (ctx.pow(x, 7) for x in range(181))
+                     for y2 in range(181))
+        decodes = self.count_decodes(monkeypatch)
+        assert verify_iso(D1, D2, cert).ok
+        assert decodes == [0]
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (11, 1)])
+    def test_product_maps_decode_one_row(self, monkeypatch, p, k):
+        # the Frobenius map and a random product map, whose f2 moves y2
+        ctx = extension_field(p, k)
+        q = ctx.q
+        D = build_digraph(ctx, 1, 2)
+        rng = random.Random(q)
+        f1, f2 = rng.sample(range(q), q), rng.sample(range(q), q)
+        shuffled = tuple(y1 * q + y2 for y1 in f1 for y2 in f2)
+        P = permute_digraph(D, shuffled)
+        frob = frobenius_automorphism(D)
+        decodes = self.count_decodes(monkeypatch)
+        assert verify_iso(D, D, frob).ok
+        assert verify_iso(D, P, shuffled).ok
+        assert decodes == [0, 0]
+
+    def test_target_outside_its_block_is_not_certified(self):
+        # row 0 of D(5;1,1) with its block-0 target 0 moved to 7, in block 1:
+        # less the offsets it reads 5 at block 0, a y2 of 5 that f2 = id
+        # must not map; taken as a y2 it would relabel to target 0, which is
+        # row 0 of the other digraph
+        ctx = prime_field(5)
+        rows = list(build_digraph(ctx, 1, 1).rows)
+        assert rows[0] == array("H", [0, 5, 10, 15, 20]).tobytes()
+        D1 = MonomialDigraph(ctx, 1, 1, (array("H", [5, 7, 10, 15, 20]).tobytes(), *rows[1:]))
+        D2 = MonomialDigraph(ctx, 1, 1, (array("H", [0, 7, 10, 15, 20]).tobytes(), *rows[1:]))
+        ident = tuple(range(25))
+        result = verify_iso(D1, D2, ident)
+        assert not result.ok
+        assert result.witness == violation_scan(D1, D2, ident) == ((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+    def test_scaling_map_is_an_automorphism(self, p, k):
+        # (x1, x2) -> (a x1, a^(m+n) x2) scales both sides of
+        # x2 + y2 = x1^m y1^n by a^(m+n), so it carries D(q; m, n) onto
+        # itself; a relabeled copy keeps m and n but not this automorphism
+        ctx = extension_field(p, k)
+        q = ctx.q
+        a = generator(ctx)
+        rng = random.Random(q)
+        for m, n in ((1, 1), (1, 2), (2, q - 2), (q - 1, 3)):
+            D = build_digraph(ctx, m, n)
+            c = ctx.pow(a, D.m + D.n)
+            scaling = tuple(ctx.mul(a, x1) * q + ctx.mul(c, x2)
+                            for x1 in range(q) for x2 in range(q))
+            assert verify_iso(D, D, scaling).ok
+            perm = list(range(D.order))
+            rng.shuffle(perm)
+            P = permute_digraph(D, perm)
+            result = verify_iso(P, P, scaling)
+            assert not result.ok
+            assert result.witness == violation_scan(P, P, scaling)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
