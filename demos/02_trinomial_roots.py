@@ -7,7 +7,8 @@ roots over GF(p), even though the root sets themselves differ.
 """
 import time
 
-from mdlab import distinct_root_count, nontrivial_root_count, prime_field, trinomial
+from mdlab import (distinct_root_count, nontrivial_root_count, nontrivial_root_counts,
+                   prime_field, trinomial)
 
 ctx = prime_field(11)
 
@@ -21,16 +22,20 @@ print("  X^4 - 2X + 1 roots:", r4.roots, " -> distinct:", r4.distinct)
 print("  X^8 - 2X + 1 roots:", r8.roots, " -> distinct:", r8.distinct)
 print("  same count, different sets")
 
-# The counts excluding the ever-present root 1, for every reciprocal pair.
+# The counts excluding the ever-present root 1, for every reciprocal pair:
+# one trinomial at a time, and from one discrete-log tally of GF(31) that
+# counts every exponent n in a single pass over the field.
 print("\nreciprocal pairs over GF(31) and their nontrivial root counts:")
 ctx31 = prime_field(31)
+tally = nontrivial_root_counts(ctx31)
 for m in range(1, 31):
     for n in range(m, 31):
         if (m * n) % 30 == 1:
             rm = nontrivial_root_count(ctx31, m)
             rn = nontrivial_root_count(ctx31, n)
             marker = "ok" if rm == rn else "MISMATCH"
-            print(f"  (m,n)=({m:2d},{n:2d}): {rm} vs {rn}  {marker}")
+            print(f"  (m,n)=({m:2d},{n:2d}): {rm} vs {rn}  {marker}"
+                  f"   tally: {tally[m]} vs {tally[n]}")
 
 # Two counting routes: exhaustive evaluation vs deg gcd(f, X^q - X).
 # The gcd route never enumerates the field, so it scales to huge primes.

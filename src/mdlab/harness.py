@@ -7,7 +7,11 @@ independent, so the theorem and exercise scans can fan out across a
 process pool (worker count from MDL_THREADS only, default the usable CPU
 count); results are buffered and sorted before assembly, which makes
 reports byte-identical regardless of schedule. Failing records never
-abort a scan.
+abort a scan; a root count on which two methods disagree does, with
+MethodDisagreement. The theorem scan reads each exponent's count off one
+discrete-log tally per prime and checks it by the gcd route for that
+exponent; the exercise scan tallies one degree's counts per a by
+exhaustive evaluation and checks each by the gcd route.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from .iso import (
     unit_orbit,
 )
 from .patterns import verify_looped_arc_formula
-from .poly import distinct_root_count, eval_at, nontrivial_root_count, trinomial
+from .poly import distinct_root_count, eval_at, nontrivial_root_counts, trinomial
 
 PARAM_ORDER = ("p", "k", "q", "m", "n", "a", "b")
 
@@ -135,17 +139,40 @@ def _reciprocal_pairs(q: int) -> list[tuple[int, int]]:
 
 # --- theorem scan ---
 
+@cache
+def _root_tally(p: int) -> tuple[int, ...]:
+    """nontrivial_root_counts over GF(p), tallied once per prime and process
+    (a tuple, since every item of the prime shares it)."""
+    return tuple(nontrivial_root_counts(prime_field(p)))
+
+
 def _theorem_worker(item: tuple[int, int, int, bool]) -> list[CheckRecord]:
     """Records of one reciprocal pair m <= n: the theorem record of (m, n),
     its mirror (n, m) when m != n, and with digraphs the k_formula record
-    of each exponent."""
+    of each exponent. Each exponent's count r is read off the prime's
+    tally and counted again by the gcd route, or with digraphs by the
+    formula check, which counts by exhaustive evaluation and gcd; the two
+    must agree."""
     p, m, n, with_digraphs = item
     ctx = prime_field(p)
+    exponents = sorted({m, n})
     if with_digraphs:  # each formula check counts its exponent's roots
-        formula = {e: verify_looped_arc_formula(ctx, e) for e in sorted({m, n})}
+        formula = {e: verify_looped_arc_formula(ctx, e) for e in exponents}
         roots = {e: check.roots for e, check in formula.items()}
+        method = "bruteforce and gcd"
     else:
-        roots = {e: nontrivial_root_count(ctx, e) for e in {m, n}}
+        minus_two = ctx.element(-2)
+        roots = {}
+        for e in exponents:  # 1 is always a root, the trivial one
+            f = trinomial(ctx, e + 1, minus_two, 1)
+            roots[e] = distinct_root_count(ctx, f, "gcd").distinct - 1
+        method = "gcd"
+    tally = _root_tally(p)
+    for e, counted in roots.items():
+        if counted != tally[e]:
+            raise MethodDisagreement(
+                f"X^{e + 1} - 2X + 1 over {ctx!r}: the log tally found {tally[e]} "
+                f"nontrivial roots, {method} {counted}")
     r_m, r_n = roots[m], roots[n]
     observed = {"r_m": r_m, "r_n": r_n}
     mirrored = {"r_m": r_n, "r_n": r_m}
@@ -178,7 +205,11 @@ def run_theorem_scan(p_max: int, with_digraphs: bool = False) -> ScanReport:
     """Root-count equality for every odd prime p <= p_max and every pair
     m, n in {1..p-1} with mn = 1 mod (p-1); with_digraphs additionally
     checks the digraph pattern counts and the count formula for p <= 13.
-    One work item covers a pair and its mirror, since mn = nm."""
+    One work item covers a pair and its mirror, since mn = nm. Every
+    count r is counted twice: once in the prime's one-pass log tally
+    (nontrivial_root_counts, kept per process) and once on its own by the
+    gcd route, or by exhaustive evaluation and gcd in the formula checks;
+    a disagreement raises MethodDisagreement."""
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
     if p_max > caps.MAX_THEOREM_PMAX:

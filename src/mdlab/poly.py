@@ -6,6 +6,9 @@ tuple. Two independent distinct-root counters are provided: exhaustive
 evaluation (needs q small enough to enumerate) and deg gcd(f, X^q - X),
 with X^q mod f from left-to-right binary exponentiation, which never
 materializes X^q and is the fast path for very large prime fields.
+For the family X^(n+1) - 2X + 1 over GF(p), ``nontrivial_root_counts``
+tallies the roots of every exponent n at once, in one pass over the
+field in discrete logs.
 
 Each field kind has one arithmetic path, and neither calls a FieldCtx
 method per coefficient in ``mul``, ``poly_mod`` or ``eval_at``. Prime
@@ -44,6 +47,7 @@ whatever its degree. On the prime-field path:
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from itertools import compress
@@ -487,3 +491,46 @@ def nontrivial_root_count(ctx: FieldCtx, n: int) -> int:
     minus_two = ctx.neg(ctx.add(1, 1))
     f = trinomial(ctx, n + 1, minus_two, 1)
     return distinct_root_count(ctx, f).distinct - 1
+
+
+def nontrivial_root_counts(ctx: FieldCtx) -> list[int]:
+    """nontrivial_root_count(ctx, n) for every n in 1..p-1 at once, as the
+    list indexed by n (entry 0 is 0), over a prime field GF(p).
+
+    One pass over the field in discrete logs to a primitive root g. For
+    x outside {0, 1, 1/2}, with i = log x and j = log(2x - 1), x is a root
+    of X^d - 2X + 1 exactly when i*d = j mod (p - 1). That congruence is
+    solvable only when h = gcd(i, p - 1) divides j, and then its solutions
+    d in [2, p], one full residue system, are the h terms of a progression
+    with step (p - 1)/h, and x adds one to the tally of each. x = 0 and
+    x = 1/2 are never roots and x = 1 is the trivial one, so r(n) =
+    tally[n + 1]."""
+    if ctx.k != 1:
+        raise ValueError(f"nontrivial_root_counts needs a prime field, got {ctx!r}")
+    from .field import _prime_divisors  # field imports this module
+
+    p = ctx.p
+    tally = [0] * (p + 1)
+    if p == 2:  # GF(2) holds only 0 and 1
+        return tally[1:]
+    r = p - 1
+    cofactors = [r // s for s in _prime_divisors(r)]
+    g = next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in cofactors))
+    log = [0] * p
+    x = 1
+    for i in range(r):
+        log[x] = i
+        x = x * g % p
+    half = (p + 1) // 2
+    for x in range(2, p):
+        if x == half:
+            continue
+        i, j = log[x], log[(2 * x - 1) % p]
+        h = math.gcd(i, r)
+        if j % h:
+            continue
+        step = r // h
+        d0 = j // h * pow(i // h, -1, step) % step
+        for d in range(2 + (d0 - 2) % step, p + 1, step):
+            tally[d] += 1
+    return tally[1:]

@@ -10,7 +10,9 @@ import random
 import pytest
 
 import mdlab.harness
+import mdlab.poly
 from mdlab import caps
+from mdlab.cli import main as cli_main
 from mdlab.digraph import build_digraph
 from mdlab.errors import CapExceeded, IoFailure, MethodDisagreement
 from mdlab.field import extension_field, prime_field
@@ -116,6 +118,46 @@ class TestTheoremScan:
                 expected["count_k_n"] = count_looped_arc(build_digraph(ctx, 1, n))
             assert rec.observed == expected, (p, m, n)
             assert rec.passed
+
+    @staticmethod
+    def _tally_off_by_one(monkeypatch):
+        tally = mdlab.harness._root_tally
+        monkeypatch.setattr(mdlab.harness, "_root_tally", lambda p: [r + 1 for r in tally(p)])
+        monkeypatch.setenv("MDL_THREADS", "1")
+
+    def test_tally_disagreement_raises(self, monkeypatch):
+        # a tally off by one must stop the scan at its first count, not
+        # become a record
+        self._tally_off_by_one(monkeypatch)
+        with pytest.raises(MethodDisagreement, match=r"^X\^2 - 2X \+ 1 over GF\(3\): the log "
+                                                     r"tally found 1 nontrivial roots, gcd 0$"):
+            run_theorem_scan(31)
+
+    def test_tally_disagreement_exits_2(self, monkeypatch, capsys):
+        self._tally_off_by_one(monkeypatch)
+        code = cli_main(["theorem", "--pmax", "31"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: X^2 - 2X + 1 over GF(3): the log tally found")
+        assert err.count("\n") == 1
+
+    def test_exhaustive_evaluation_only_in_formula_checks(self, monkeypatch):
+        # the tally and the gcd route count every exponent; exhaustive
+        # evaluation runs only in the formula checks of --digraphs, p <= 13
+        evaluated = []
+        bruteforce = mdlab.poly._roots_bruteforce
+
+        def counting(ctx, f):
+            evaluated.append(ctx.p)
+            return bruteforce(ctx, f)
+
+        monkeypatch.setattr(mdlab.poly, "_roots_bruteforce", counting)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        run_theorem_scan(31)
+        assert evaluated == []
+        run_theorem_scan(31, with_digraphs=True)
+        assert evaluated and max(evaluated) <= caps.MAX_PATTERN_HOST_ORDER
 
 
 class TestExerciseScan:

@@ -27,6 +27,7 @@ from mdlab.poly import (
     monic,
     mul,
     nontrivial_root_count,
+    nontrivial_root_counts,
     poly_gcd,
     poly_mod,
     poly_powmod,
@@ -221,6 +222,27 @@ class TestNontrivialRootCount:
         for n in range(1, 9):
             f = trinomial(ctx, n + 1, minus_two, 1)
             assert eval_at(ctx, f, 1) == 0
+
+
+PRIMES_TO_113 = [p for p in range(2, 114) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+class TestNontrivialRootCounts:
+    @pytest.mark.parametrize("p", PRIMES_TO_113)
+    def test_every_exponent_matches_the_per_exponent_count(self, p):
+        ctx = prime_field(p)
+        counts = nontrivial_root_counts(ctx)
+        assert len(counts) == p and counts[0] == 0
+        for n in range(1, p):
+            assert counts[n] == nontrivial_root_count(ctx, n), n
+
+    def test_gf2_is_all_zeros(self):
+        assert nontrivial_root_counts(prime_field(2)) == [0, 0]
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3)])
+    def test_extension_field_refused(self, p, k):
+        with pytest.raises(ValueError, match=rf"needs a prime field, got GF\({p}\^{k}\)"):
+            nontrivial_root_counts(extension_field(p, k))
 
 
 class TestMethodAgreement:
