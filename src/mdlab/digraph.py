@@ -5,17 +5,23 @@ vertex's row is the immutable bytes of its ascending target indices,
 packed as unsigned 16-bit ints (array type 'H'), so decoding a row is
 one C-level unpack, arc tests bisect the row and whole-row comparisons
 are memcmp. Every vertex of D(q; m, n) has out-degree q, so a row takes
-2q bytes, 362 at q = 181. Rows are immutable and the digraph is safe to
-share across workers. This module alone encodes and decodes rows:
-`neighbor_lists` decodes each row once and transposes once, and keeps the
-out-lists and in-lists on the digraph; relabeled_row() encodes the rows of
-a relabeled copy (for permute_digraph), first_relabeling_mismatch()
-compares them with another digraph's rows (for verify_iso), and
-converse() encodes the in-lists. Refinement in iso reads both lists, and
-the census reads the out-lists, the in-lists and the loops as int
-bitmasks through `view`. The rows of one digraph take about 13 MB at
-q = 181 and its lists about 285 MB; converse() leaves the lists cached on
-its source digraph.
+2q bytes, 362 at q = 181. Rows are immutable bytes, and after
+construction a digraph only gains cached results. The scans send their
+worker processes parameters, not digraphs: once `neighbor_lists` is
+built, a digraph holds memoryviews, which do not pickle.
+
+The packed rows are the only adjacency encoding a digraph holds, and
+this module alone encodes and decodes them. `neighbor_lists` gives each
+out-list as a read-only view of its row and each in-list as a view of a
+row of the packed transpose, for which it decodes each row once and
+transposes once; converse() takes those transpose rows as its own
+rows. relabeled_row() encodes the rows of a relabeled copy (for
+permute_digraph), and first_relabeling_mismatch() compares them with
+another digraph's rows (for verify_iso). Refinement in iso reads both
+lists as int sequences, and the census reads the out-lists, the
+in-lists and the loops as int bitmasks through `view`. At q = 181 the
+rows of one digraph take about 13 MB, the transpose as much again and
+its views about 21 MB.
 
 A row holds one target per y1 block, in block order, and a product map
 (x1, x2) -> (f1(x1), f2(x2)), such as a power or the Frobenius map, sends
@@ -147,31 +153,33 @@ class MonomialDigraph:
     @cached_property
     def neighbor_lists(self) -> tuple[tuple, tuple]:
         """(out_lists, in_lists): the targets of each source and the sources
-        of each target, as ascending index tuples. Each row is decoded once
-        and the only transposition runs once; built on first use and kept."""
-        out_lists = tuple(tuple(self.out_indices(i)) for i in range(self.order))
+        of each target, ascending, each a read-only view of a packed row
+        that reads as a sequence of ints. An out-list views its row in rows
+        and an in-list the packed transpose, for which each row is decoded
+        once and the only transposition runs once; built on first use and
+        kept."""
         incoming: list[list[int]] = [[] for _ in range(self.order)]
-        for i, targets in enumerate(out_lists):
-            for j in targets:
+        for i in range(self.order):
+            for j in self.out_indices(i):
                 incoming[j].append(i)
-        return out_lists, tuple(map(tuple, incoming))
+        return (tuple(memoryview(row).cast("H") for row in self.rows),
+                tuple(memoryview(_pack(sources)).cast("H") for sources in incoming))
 
-    def in_index_lists(self) -> tuple[tuple[int, ...], ...]:
+    def in_index_lists(self) -> tuple[memoryview, ...]:
         """Sources per target index, ascending: the in-lists of
         neighbor_lists."""
         return self.neighbor_lists[1]
 
     @cached_property
     def view(self) -> AdjacencyView:
-        """The out-lists of neighbor_lists, the in_index_lists and the loops
-        (bit i of out-mask i) as int bitmasks, for the pattern census; built
-        on first use and kept. The census is capped at
+        """The out-lists of neighbor_lists, the in_index_lists and the
+        loop_indices as int bitmasks, for the pattern census; built on first
+        use and kept. The census is capped at
         q <= caps.MAX_PATTERN_HOST_ORDER, so the view is never built near
         the digraph cap."""
         out_masks, in_masks = (tuple(sum(1 << j for j in indices) for indices in lists)
                                for lists in (self.neighbor_lists[0], self.in_index_lists()))
-        return AdjacencyView(out_masks, in_masks,
-                             sum(1 << i for i, mask in enumerate(out_masks) if mask >> i & 1))
+        return AdjacencyView(out_masks, in_masks, sum(1 << i for i in self.loop_indices()))
 
     def relabeled_row(self, u: int, mapping) -> bytes:
         """The row of mapping[u] in the copy of this digraph relabeled by
@@ -268,10 +276,10 @@ class MonomialDigraph:
         return q
 
     def converse(self) -> "MonomialDigraph":
-        """Arc-reversed digraph, rows from in_index_lists, which stay cached
-        on this digraph; parameters (n, m)."""
+        """Arc-reversed digraph, parameters (n, m), whose rows are the very
+        bytes that this digraph's in_index_lists view."""
         return MonomialDigraph(self.ctx, self.n, self.m,
-                               tuple(map(_pack, self.in_index_lists())))
+                               tuple(sources.obj for sources in self.in_index_lists()))
 
     def same_arcs(self, other: "MonomialDigraph") -> bool:
         return self.order == other.order and self.rows == other.rows

@@ -19,8 +19,9 @@ wall-clock, so runs are machine-independent.
 
 Only the digraph module encodes and decodes the packed target rows.
 Refinement and the 2-cycle count read each digraph's out-lists and
-in-lists from `MonomialDigraph.neighbor_lists`, which it builds and
-keeps. permute_digraph assembles the rows that
+in-lists from `MonomialDigraph.neighbor_lists`, views of packed rows
+that read as int sequences, and refinement seeds the loop flag from
+`MonomialDigraph.loop_indices`. permute_digraph assembles the rows that
 `MonomialDigraph.relabeled_row` encodes, and verify_iso asks
 `MonomialDigraph.first_relabeling_mismatch` for the first row that a
 mapping does not carry onto the other digraph's. That method certifies a
@@ -202,7 +203,8 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
     signature order each round, so isomorphic digraphs get identical
     color multisets."""
     out_lists, in_lists = D.neighbor_lists
-    seeds = [(i in out_lists[i], len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
+    loops = set(D.loop_indices())
+    seeds = [(i in loops, len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
     ranks = {s: c for c, s in enumerate(sorted(set(seeds)))}
     return _refine((D,), ([ranks[s] for s in seeds],))[0]
 

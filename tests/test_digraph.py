@@ -284,10 +284,17 @@ class TestAdjacencyView:
             assert all((in_masks[j] >> i & 1) == (out_masks[i] >> j & 1)
                        for i in order for j in order)
             assert loop_mask == sum(1 << i for i in order if G.has_arc_index(i, i))
-            # the neighbor lists refinement reads, and the in-lists the view reads
+            # the neighbor lists refinement reads, and the in-lists the view
+            # reads: views of bytes rows, the out-lists of this digraph's rows
+            # and the in-lists of its converse's
             out_lists, in_lists = G.neighbor_lists
             assert G.neighbor_lists is G.neighbor_lists
             assert G.in_index_lists() is G.neighbor_lists[1]
+            assert all(isinstance(view, memoryview) and type(view.obj) is bytes
+                       for view in out_lists + in_lists)
+            assert all(view.obj is row for view, row in zip(out_lists, G.rows))
+            converse_rows = G.converse().rows
+            assert all(converse_rows[j] is sources.obj for j, sources in enumerate(in_lists))
             assert [list(t) for t in out_lists] == [G.out_indices(i) for i in order]
             transpose = {(j, i) for i in order for j in G.out_indices(i)}
             assert {(j, i) for j, sources in enumerate(in_lists) for i in sources} == transpose

@@ -482,6 +482,52 @@ class TestFingerprint:
         assert sorted(colors) == sorted(colors_perm)
 
 
+def reference_colors(D):
+    """Oracle: 1-dimensional directed refinement of D on tuple neighbor
+    lists decoded by out_indices, seeded with (loop?, out-degree,
+    in-degree); each round a color id is the rank of its signature among
+    the sorted signatures."""
+    out_lists = [tuple(D.out_indices(i)) for i in range(D.order)]
+    in_lists = [[] for _ in range(D.order)]
+    for i, targets in enumerate(out_lists):
+        for j in targets:
+            in_lists[j].append(i)
+    signatures = [(i in out_lists[i], len(out_lists[i]), len(in_lists[i]))
+                  for i in range(D.order)]
+    classes = 0
+    while True:
+        ranks = {s: c for c, s in enumerate(sorted(set(signatures)))}
+        colors = [ranks[s] for s in signatures]
+        if len(ranks) == classes:
+            return colors
+        classes = len(ranks)
+        signatures = [(colors[v],
+                       tuple(sorted(Counter(colors[w] for w in out_lists[v]).items())),
+                       tuple(sorted(Counter(colors[w] for w in in_lists[v]).items())))
+                      for v in range(D.order)]
+
+
+class TestColorRefinement:
+    # search certificates are read off the color ids, so the ids themselves,
+    # not only their histogram, must match the oracle's
+    @pytest.mark.parametrize("p,k,m,n", [(5, 1, 1, 3), (2, 3, 1, 3), (3, 2, 2, 5)])
+    def test_color_ids_match_reference(self, p, k, m, n):
+        D = build_digraph(extension_field(p, k), m, n)
+        shuffled = list(range(D.order))
+        random.Random(D.order).shuffle(shuffled)
+        for G in (D, D.converse()):
+            for H in (G, permute_digraph(G, shuffled)):
+                assert color_refinement(H) == reference_colors(H)
+
+    def test_color_ids_match_reference_on_hand_made_rows(self):
+        # rows of every length, and loops on a set of vertices other than q
+        rng = random.Random(9)
+        lists = [sorted(rng.sample(range(9), rng.randrange(10))) for _ in range(9)]
+        D = from_target_lists(prime_field(3), lists)
+        assert len(D.loop_indices()) not in (0, D.q)
+        assert color_refinement(D) == reference_colors(D)
+
+
 class TestBruteForce:
     def test_known_isomorphic_pair_found(self):
         ctx = prime_field(5)
