@@ -39,7 +39,7 @@ print("  certificate:", certificate_to_json(cert))
 A, B = build_digraph(prime_field(3), 1, 2), build_digraph(prime_field(3), 2, 1)
 fa, fb = fingerprint(A), fingerprint(B)
 print("\nD(3;1,2) vs D(3;2,1):")
-print("  loops:", fa.loop_count, "vs", fb.loop_count)
+print("  loops:", len(A.loop_indices), "vs", len(B.loop_indices), "(always q)")
 print("  2-cycles:", fa.two_cycle_count, "vs", fb.two_cycle_count)
 print("  pattern censuses equal:", fa.pattern_counts == fb.pattern_counts)
 outcome = brute_force_iso(A, B)

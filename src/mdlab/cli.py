@@ -112,7 +112,7 @@ def _cmd_build(args) -> int:
         dot = D.to_dot()
         _write_atomic(args.dot, lambda handle: handle.write(dot))
     print(f"D({ctx.q};{D.m},{D.n}): {D.order} vertices, {D.arc_count} arcs, "
-          f"{len(D.loop_indices())} loops")
+          f"{len(D.loop_indices)} loops")
     if args.dot:
         print(f"dot written to {args.dot}")
     return 0

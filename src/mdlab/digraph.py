@@ -143,12 +143,15 @@ class MonomialDigraph:
 
     # -- loops --
 
-    def loop_indices(self) -> list[int]:
-        return [i for i in range(self.order) if self.has_arc_index(i, i)]
+    @cached_property
+    def loop_indices(self) -> tuple[int, ...]:
+        """Loop vertex indices, ascending; one has_arc_index(i, i) each, once."""
+        return tuple(i for i in range(self.order) if self.has_arc_index(i, i))
 
     def loop_vertices(self) -> list[Vertex]:
-        """Vertices carrying loops, sorted by index; always exactly q."""
-        return [self.vertex_at(i) for i in self.loop_indices()]
+        """Vertices carrying loops, sorted by index; always exactly q (the
+        solutions of 2*x2 = x1^(m+n)) for a built, converse or permuted digraph."""
+        return [self.vertex_at(i) for i in self.loop_indices]
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple, tuple]:
@@ -179,7 +182,7 @@ class MonomialDigraph:
         the digraph cap."""
         out_masks, in_masks = (tuple(sum(1 << j for j in indices) for indices in lists)
                                for lists in (self.neighbor_lists[0], self.in_index_lists()))
-        return AdjacencyView(out_masks, in_masks, sum(1 << i for i in self.loop_indices()))
+        return AdjacencyView(out_masks, in_masks, sum(1 << i for i in self.loop_indices))
 
     def relabeled_row(self, u: int, mapping) -> bytes:
         """The row of mapping[u] in the copy of this digraph relabeled by

@@ -203,7 +203,7 @@ def color_refinement(D: MonomialDigraph) -> list[int]:
     signature order each round, so isomorphic digraphs get identical
     color multisets."""
     out_lists, in_lists = D.neighbor_lists
-    loops = set(D.loop_indices())
+    loops = set(D.loop_indices)
     seeds = [(i in loops, len(out_lists[i]), len(in_lists[i])) for i in range(D.order)]
     ranks = {s: c for c, s in enumerate(sorted(set(seeds)))}
     return _refine((D,), ([ranks[s] for s in seeds],))[0]
@@ -222,38 +222,38 @@ def _cached(D: MonomialDigraph, name: str, compute):
 class Fingerprint:
     """Isomorphism-invariant summary; equal fingerprints are necessary but
     not sufficient for isomorphism. pattern_counts covers the full
-    <= 3-vertex pattern library and is None (flagged off) when q exceeds
-    the census cap."""
+    <= 3-vertex pattern library, whose one-vertex loop pattern counts the
+    loops, and is None (flagged off) when q exceeds the census cap."""
 
-    loop_count: int
     two_cycle_count: int
     pattern_counts: tuple[int, ...] | None
     refinement_histogram: tuple[tuple[int, int], ...]
 
 
-def cheap_invariants(D: MonomialDigraph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """The fingerprint without its pattern census: (loop count, 2-cycle
-    count, refinement histogram)."""
+def cheap_invariants(D: MonomialDigraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The fingerprint without its pattern census: (2-cycle count,
+    refinement histogram). No loop count: it is q on every built, converse
+    or permuted digraph, so the loop flag only seeds the refinement."""
     out_lists, in_lists = D.neighbor_lists
     two_cycles = sum(
         1 for i, (targets, sources) in enumerate(zip(out_lists, in_lists))
         for j in set(targets).intersection(sources) if j > i
     )
     histogram = tuple(sorted(Counter(_cached(D, "colors", color_refinement)).items()))
-    return len(D.loop_indices()), two_cycles, histogram
+    return two_cycles, histogram
 
 
 def fingerprint(D: MonomialDigraph) -> Fingerprint:
     """D's full fingerprint. The pattern census runs on every call; the
     cheap invariants come from D's cached ones."""
-    loop_count, two_cycles, histogram = _cached(D, "cheap", cheap_invariants)
+    two_cycles, histogram = _cached(D, "cheap", cheap_invariants)
     try:
         counts: tuple[int, ...] | None = tuple(
             count_pattern(D, pat).subdigraphs for pat in small_pattern_library()
         )
     except CapExceeded:
         counts = None
-    return Fingerprint(loop_count, two_cycles, counts, histogram)
+    return Fingerprint(two_cycles, counts, histogram)
 
 
 # --- decisions ---
@@ -340,7 +340,8 @@ def decide_iso(D1: MonomialDigraph, D2: MonomialDigraph,
     isomorphism II, 2014):
 
     1. a power-map certificate, which exists exactly for same-orbit pairs;
-    2. loop count, 2-cycle count and refinement histogram;
+    2. 2-cycle count and the refinement histogram that the loop flag
+       seeds (every built, converse or permuted digraph has q loops);
     3. the full fingerprint, whose <= 3-vertex pattern census dominates
        the cost, only when stage 2 ties;
     4. budgeted brute-force search.

@@ -81,10 +81,8 @@ class PatternCount(NamedTuple):
 def count_looped_arc(D: MonomialDigraph) -> int:
     """Copies of the two-loops-plus-arc pattern: ordered pairs of distinct
     loop vertices joined by an arc (its automorphism group is trivial)."""
-    loops = D.loop_indices()
-    return sum(
-        1 for a in loops for b in loops if a != b and D.has_arc_index(a, b)
-    )
+    loops = D.loop_indices
+    return sum(1 for a in loops for b in loops if a != b and D.has_arc_index(a, b))
 
 
 def _count_injections(D: MonomialDigraph, pattern: Pattern) -> int:

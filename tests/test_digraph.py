@@ -13,6 +13,7 @@ from mdlab.errors import CapExceeded, InvalidExponent
 from mdlab.digraph import MonomialDigraph, build_digraph
 from mdlab.field import extension_field, prime_field
 from mdlab.iso import decide_iso, fingerprint, permute_digraph
+from mdlab.patterns import count_looped_arc
 
 # All 27 arcs of D(3;1,2), listed vertex by vertex; each entry was
 # hand-checked against the arc equation x2 + y2 = x1 * y1^2 over GF(3).
@@ -105,7 +106,12 @@ class TestRegularity:
             for n in range(1, q) if q <= 7 else [2, q - 2]:
                 D = build_digraph(ctx, m, n)
                 assert D.arc_count == q**3
-                assert len(D.loop_vertices()) == q
+                shuffled = list(range(D.order))
+                random.Random(q * q * m + n).shuffle(shuffled)
+                # the loops solve 2*x2 = x1^(m+n), so relabeling and
+                # reversing the arcs keep exactly q of them
+                for G in (D, D.converse(), permute_digraph(D, shuffled)):
+                    assert len(G.loop_vertices()) == q
                 indeg = [0] * D.order
                 for i in range(D.order):
                     outs = D.out_indices(i)
@@ -306,19 +312,29 @@ class TestAdjacencyView:
 
     def test_rows_decoded_once(self, monkeypatch):
         # a cross-orbit pair that runs refinement, the census and the search:
-        # each row is decoded once, for the neighbor lists all three read
-        decoded = []
-        out_indices = MonomialDigraph.out_indices
+        # each row is decoded once, for the neighbor lists all three read,
+        # and the diagonal is scanned once, for the loop indices that the
+        # refinement seed, the census's loop mask and count_looped_arc read
+        decoded, diagonal = [], []
+        out_indices, has_arc_index = MonomialDigraph.out_indices, MonomialDigraph.has_arc_index
         def counted(self, i):
             decoded.append(self)
             return out_indices(self, i)
+        def counted_arc_test(self, i, j):
+            if i == j:
+                diagonal.append(self)
+            return has_arc_index(self, i, j)
         monkeypatch.setattr(MonomialDigraph, "out_indices", counted)
+        monkeypatch.setattr(MonomialDigraph, "has_arc_index", counted_arc_test)
         ctx = extension_field(2, 2)
         D1, D2 = build_digraph(ctx, 1, 3), build_digraph(ctx, 3, 1)
         assert decide_iso(D1, D2).stage == "search"
         fingerprint(D1)
         fingerprint(D2)
+        count_looped_arc(D1)
+        count_looped_arc(D2)
         assert [sum(G is D for G in decoded) for D in (D1, D2)] == [D1.order, D2.order]
+        assert [sum(G is D for G in diagonal) for D in (D1, D2)] == [D1.order, D2.order]
 
 
 class TestLoopVertices:
