@@ -8,10 +8,11 @@ process pool (worker count from MDL_THREADS only, default the usable CPU
 count); results are buffered and sorted before assembly, which makes
 reports byte-identical regardless of schedule. Failing records never
 abort a scan; a root count on which two methods disagree does, with
-MethodDisagreement. The theorem scan reads each exponent's count off one
-discrete-log tally per prime and checks it by the gcd route for that
-exponent; the exercise scan tallies one degree's counts per a by
-exhaustive evaluation and checks each by the gcd route.
+MethodDisagreement. A theorem-scan work item is one prime: it reads each
+exponent's count off one discrete-log tally and checks it by the gcd
+route for that exponent. An exercise-scan item is one reciprocal pair of
+a field: it tallies one degree's counts per a by exhaustive evaluation
+and checks each by the gcd route.
 """
 from __future__ import annotations
 
@@ -113,8 +114,7 @@ def _run_items(worker, items: Sequence) -> list[CheckRecord]:
 
         try:
             with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-                chunk = max(1, len(items) // (workers * 4))
-                batches = list(pool.map(worker, items, chunksize=chunk))
+                batches = list(pool.map(worker, items))
         except BrokenProcessPool as exc:
             raise WorkerPoolFailed(f"worker pool failed: {exc}") from exc
     out: list[CheckRecord] = []
@@ -139,65 +139,40 @@ def _reciprocal_pairs(q: int) -> list[tuple[int, int]]:
 
 # --- theorem scan ---
 
-@cache
-def _root_tally(p: int) -> tuple[int, ...]:
-    """nontrivial_root_counts over GF(p), tallied once per prime and process
-    (a tuple, since every item of the prime shares it)."""
-    return tuple(nontrivial_root_counts(prime_field(p)))
-
-
-def _theorem_worker(item: tuple[int, int, int, bool]) -> list[CheckRecord]:
-    """Records of one reciprocal pair m <= n: the theorem record of (m, n),
-    its mirror (n, m) when m != n, and with digraphs the k_formula record
-    of each exponent. Each exponent's count r is read off the prime's
-    tally and counted again by the gcd route, or with digraphs by the
-    formula check, which counts by exhaustive evaluation and gcd; the two
-    must agree."""
-    p, m, n, with_digraphs = item
+def _theorem_worker(item: tuple[int, bool]) -> list[CheckRecord]:
+    """Records of one odd prime p, in report order: with digraphs the
+    k_formula record of each unit exponent, then the theorem record of
+    each reciprocal pair (m, n). Each exponent's count r is read off the
+    prime's one-pass log tally and counted again on its own by the gcd
+    route; the two must agree."""
+    p, with_digraphs = item
     ctx = prime_field(p)
-    exponents = sorted({m, n})
-    if with_digraphs:  # each formula check counts its exponent's roots
-        formula = {e: verify_looped_arc_formula(ctx, e) for e in exponents}
-        roots = {e: check.roots for e, check in formula.items()}
-        method = "bruteforce and gcd"
-    else:
-        minus_two = ctx.element(-2)
-        roots = {}
-        for e in exponents:  # 1 is always a root, the trivial one
-            f = trinomial(ctx, e + 1, minus_two, 1)
-            roots[e] = distinct_root_count(ctx, f, "gcd").distinct - 1
-        method = "gcd"
-    tally = _root_tally(p)
-    for e, counted in roots.items():
+    pairs = _reciprocal_pairs(p)
+    tally = nontrivial_root_counts(ctx)
+    minus_two = ctx.element(-2)
+    for e, _ in pairs:  # 1 is always a root, the trivial one
+        counted = distinct_root_count(ctx, trinomial(ctx, e + 1, minus_two, 1), "gcd").distinct - 1
         if counted != tally[e]:
             raise MethodDisagreement(
                 f"X^{e + 1} - 2X + 1 over {ctx!r}: the log tally found {tally[e]} "
-                f"nontrivial roots, {method} {counted}")
-    r_m, r_n = roots[m], roots[n]
-    observed = {"r_m": r_m, "r_n": r_n}
-    mirrored = {"r_m": r_n, "r_n": r_m}
-    ok = r_m == r_n
+                f"nontrivial roots, gcd {counted}")
+    formula = {e: verify_looped_arc_formula(ctx, e) for e, _ in pairs} if with_digraphs else {}
     records = []
-    if with_digraphs:
-        c_m, c_n = formula[m].pattern_count, formula[n].pattern_count
-        observed.update(count_k_m=c_m, count_k_n=c_n)
-        mirrored.update(count_k_m=c_n, count_k_n=c_m)
-        ok = ok and c_m == c_n
-        for exponent, check in formula.items():
-            counted, predicted = check.pattern_count, check.predicted
-            records.append(CheckRecord(
-                "k_formula", {"p": p, "n": exponent},
-                {"count_k": counted, "expected": predicted}, check.ok,
-                None if check.ok else f"count {counted} != (p-1)*roots {predicted}"))
-    pairs = [((m, n), observed)] if m == n else [((m, n), observed), ((n, m), mirrored)]
-    for (first, second), values in pairs:
+    for e, check in formula.items():
+        counted, predicted = check.pattern_count, check.predicted
         records.append(CheckRecord(
-            check="theorem",
-            params={"p": p, "m": first, "n": second},
-            observed=values,
-            passed=ok,
-            witness=None if ok else f"observed {values}",
-        ))
+            "k_formula", {"p": p, "n": e},
+            {"count_k": counted, "expected": predicted}, check.ok,
+            None if check.ok else f"count {counted} != (p-1)*roots {predicted}"))
+    for m, n in pairs:
+        observed = {"r_m": tally[m], "r_n": tally[n]}
+        ok = tally[m] == tally[n]
+        if with_digraphs:
+            c_m, c_n = formula[m].pattern_count, formula[n].pattern_count
+            observed.update(count_k_m=c_m, count_k_n=c_n)
+            ok = ok and c_m == c_n
+        records.append(CheckRecord("theorem", {"p": p, "m": m, "n": n}, observed, ok,
+                                   None if ok else f"observed {observed}"))
     return records
 
 
@@ -205,22 +180,17 @@ def run_theorem_scan(p_max: int, with_digraphs: bool = False) -> ScanReport:
     """Root-count equality for every odd prime p <= p_max and every pair
     m, n in {1..p-1} with mn = 1 mod (p-1); with_digraphs additionally
     checks the digraph pattern counts and the count formula for p <= 13.
-    One work item covers a pair and its mirror, since mn = nm. Every
-    count r is counted twice: once in the prime's one-pass log tally
-    (nontrivial_root_counts, kept per process) and once on its own by the
-    gcd route, or by exhaustive evaluation and gcd in the formula checks;
-    a disagreement raises MethodDisagreement."""
+    One work item covers a prime. Every count r is counted twice: once in
+    the prime's one-pass log tally (nontrivial_root_counts, once per prime
+    and scan) and once on its own by the gcd route; a disagreement raises
+    MethodDisagreement."""
     if p_max < 3:
         raise ValueError("p_max must be >= 3")
     if p_max > caps.MAX_THEOREM_PMAX:
         raise CapExceeded(f"theorem scan to p_max {p_max} exceeds cap "
                           f"p_max <= {caps.MAX_THEOREM_PMAX}")
-    items = [
-        (p, m, n, with_digraphs and p <= caps.MAX_PATTERN_HOST_ORDER)
-        for p in _odd_primes_up_to(p_max)
-        for (m, n) in _reciprocal_pairs(p)
-        if m <= n
-    ]
+    items = [(p, with_digraphs and p <= caps.MAX_PATTERN_HOST_ORDER)
+             for p in _odd_primes_up_to(p_max)]
     return _assemble(_run_items(_theorem_worker, items))
 
 

@@ -102,8 +102,9 @@ class TestTheoremScan:
                 run_theorem_scan(p_max)
 
     def test_mirrored_records_match_direct_counts(self, monkeypatch):
-        # each item emits (m, n) and (n, m); check every record, mirrored
-        # ones included, against counts computed here one exponent at a time
+        # an item emits every ordered pair of its prime, (m, n) and (n, m)
+        # alike; check each record against counts computed here one
+        # exponent at a time
         monkeypatch.setenv("MDL_THREADS", "1")
         report = run_theorem_scan(31, with_digraphs=True)
         theorem = [r for r in report.records if r.check == "theorem"]
@@ -121,8 +122,9 @@ class TestTheoremScan:
 
     @staticmethod
     def _tally_off_by_one(monkeypatch):
-        tally = mdlab.harness._root_tally
-        monkeypatch.setattr(mdlab.harness, "_root_tally", lambda p: [r + 1 for r in tally(p)])
+        tally = mdlab.harness.nontrivial_root_counts
+        monkeypatch.setattr(mdlab.harness, "nontrivial_root_counts",
+                            lambda ctx: [r + 1 for r in tally(ctx)])
         monkeypatch.setenv("MDL_THREADS", "1")
 
     def test_tally_disagreement_raises(self, monkeypatch):
@@ -158,6 +160,21 @@ class TestTheoremScan:
         assert evaluated == []
         run_theorem_scan(31, with_digraphs=True)
         assert evaluated and max(evaluated) <= caps.MAX_PATTERN_HOST_ORDER
+
+    def test_each_prime_tallied_once_per_scan(self, monkeypatch):
+        # one item per prime, and no tally outlives its scan
+        tallied = []
+        tally = mdlab.harness.nontrivial_root_counts
+
+        def recording(ctx):
+            tallied.append(ctx.p)
+            return tally(ctx)
+
+        monkeypatch.setattr(mdlab.harness, "nontrivial_root_counts", recording)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        run_theorem_scan(31, with_digraphs=True)
+        run_theorem_scan(31, with_digraphs=True)
+        assert tallied == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31] * 2
 
 
 class TestExerciseScan:
@@ -435,13 +452,15 @@ class TestEmission:
 
     def test_schedule_independent(self, monkeypatch):
         # GF(8) has mirrored pairs (2, 4) and (3, 5), emitted from one item
-        # each; four usable CPUs, so the pool runs four workers on any host
+        # each, and a theorem item emits every pair of its prime; four
+        # usable CPUs, so the pool runs four workers on any host
+        scans = (lambda: run_exercise_scan([(3, 2), (2, 3), (5, 1)]),
+                 lambda: run_theorem_scan(31, with_digraphs=True))
         monkeypatch.setenv("MDL_THREADS", "1")
-        serial = run_exercise_scan([(3, 2), (2, 3), (5, 1)])
+        serial = [jsonl_bytes(scan()) for scan in scans]
         monkeypatch.setattr(mdlab.harness, "_usable_cpus", lambda: 4)
         monkeypatch.setenv("MDL_THREADS", "4")
-        parallel = run_exercise_scan([(3, 2), (2, 3), (5, 1)])
-        assert jsonl_bytes(serial) == jsonl_bytes(parallel)
+        assert [jsonl_bytes(scan()) for scan in scans] == serial
 
     def test_csv_layout(self):
         report = run_theorem_scan(5)
