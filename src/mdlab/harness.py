@@ -130,11 +130,9 @@ def _odd_primes_up_to(limit: int) -> list[int]:
 def _reciprocal_pairs(q: int) -> list[tuple[int, int]]:
     """Every (m, n) in {1..q-1}^2 with mn = 1 mod (q - 1), ordered by m:
     each unit m has exactly one such n, its inverse mod q - 1. Modulo 1
-    that inverse is 0, outside the range, so q = 2 gives (1, 1) directly."""
-    if q == 2:
-        return [(1, 1)]
+    that inverse is 0, outside the range, and its residue in range is 1."""
     r = q - 1
-    return [(m, pow(m, -1, r)) for m in range(1, q) if math.gcd(m, r) == 1]
+    return [(m, pow(m, -1, r) or r) for m in range(1, q) if math.gcd(m, r) == 1]
 
 
 # --- theorem scan ---
@@ -149,9 +147,8 @@ def _theorem_worker(item: tuple[int, bool]) -> list[CheckRecord]:
     ctx = prime_field(p)
     pairs = _reciprocal_pairs(p)
     tally = nontrivial_root_counts(ctx)
-    minus_two = ctx.element(-2)
     for e, _ in pairs:  # 1 is always a root, the trivial one
-        counted = distinct_root_count(ctx, trinomial(ctx, e + 1, minus_two, 1), "gcd").distinct - 1
+        counted = distinct_root_count(ctx, trinomial(ctx, e + 1, -2, 1), "gcd").distinct - 1
         if counted != tally[e]:
             raise MethodDisagreement(
                 f"X^{e + 1} - 2X + 1 over {ctx!r}: the log tally found {tally[e]} "
@@ -283,16 +280,18 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     pair is decided at most once. Links come first: a digraph is linked
     if it is its orbit's representative (the least pair of the orbit) or
     its pair with the representative admits a power-map certificate.
-    Then the pairs run in pair order. A within-orbit pair is decided on
-    itself and must admit a power-map certificate. A cross-orbit pair
-    (A, B) reads the decision on its representatives: a refutation
-    carries over to (A, B) when A and B are both linked, since A ~ rep A
-    and B ~ rep B by certified maps. Otherwise (A, B) is decided on
-    itself, so every found certificate is the pair's own. Cross-orbit
-    pairs must come back non-isomorphic. The verdict is the `conjecture`
-    record: it passes, or its witness names the first cross-orbit
-    isomorphic pair. Runs serially; q is capped so the whole scan is
-    desk-scale.
+    Then the pairs run in pair order, and each reads its orbits through
+    the links. A within-orbit pair (A, B) passes exactly when A and B
+    are both linked, and is decided only if it is a link itself: the
+    power maps rep -> A (k_A) and rep -> B (k_B) compose to the power
+    map A -> B with k = k_B / k_A mod (q - 1). A cross-orbit pair (A, B)
+    reads the decision on its representatives: a refutation carries over
+    to (A, B) when A and B are both linked, since A ~ rep A and B ~ rep B
+    by certified maps. Otherwise (A, B) is decided on itself, so every
+    found certificate is the pair's own. Cross-orbit pairs must come back
+    non-isomorphic. The verdict is the `conjecture` record: it passes, or
+    its witness names the first cross-orbit isomorphic pair. Runs
+    serially; q is capped so the whole scan is desk-scale.
     """
     q = ctx.q
     if q > caps.MAX_CONJECTURE_ORDER:
@@ -313,18 +312,18 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     for first, second in combinations(keys, 2):
         params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
         observed = {"m2": second[0], "n2": second[1]}
+        both_linked = linked.issuperset((first, second))
         same_orbit = rep[first] == rep[second]
-        if same_orbit:
-            decision = decide(first, second)
-        else:
+        if not same_orbit:
             decision = decide(*sorted((rep[first], rep[second])))
             # only a refutation carries over, and only through certified links
-            if not (decision.status == NOT_ISOMORPHIC and linked.issuperset((first, second))):
+            if not (decision.status == NOT_ISOMORPHIC and both_linked):
                 decision = decide(first, second)
         if same_orbit:
+            # the two links compose to a power map from first to second
             observed["isomorphic"] = 1
             observed["decided"] = 1
-            ok = decision.stage == POWER_MAP
+            ok = both_linked
             witness = None if ok else "within-orbit pair has no power-map certificate"
         elif decision.status == NOT_ISOMORPHIC:
             observed["isomorphic"] = 0

@@ -17,11 +17,12 @@ from mdlab.digraph import build_digraph
 from mdlab.errors import CapExceeded, IoFailure, MethodDisagreement
 from mdlab.field import extension_field, prime_field
 from mdlab.iso import (EXHAUSTED, FOUND, INVARIANTS, NOT_ISOMORPHIC, SEARCH, Decision,
-                       unit_orbit)
+                       decide_iso, power_map_iso, unit_orbit, verify_iso)
 from mdlab.patterns import count_looped_arc
 from mdlab.poly import RootCount, distinct_root_count, nontrivial_root_count, trinomial
 from mdlab.harness import (
     _reciprocal_pairs,
+    _root_count_table,
     emit_report,
     report_exit_code,
     run_conjecture_scan,
@@ -177,6 +178,16 @@ class TestTheoremScan:
         assert tallied == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31] * 2
 
 
+def _field_roots(ctx, d):
+    """found[a][b] = the set of roots of X^d + aX + b, by FieldCtx
+    arithmetic: x is a root exactly when x^d + ax = -b."""
+    found = [[set() for _ in ctx.elements()] for _ in ctx.elements()]
+    for a in ctx.elements():
+        for x in ctx.elements():
+            found[a][ctx.neg(ctx.add(ctx.pow(x, d), ctx.mul(a, x)))].add(x)
+    return found
+
+
 class TestExerciseScan:
     def test_gf4_counts(self):
         report = run_exercise_scan([(2, 2)])
@@ -238,6 +249,39 @@ class TestExerciseScan:
             run_exercise_scan([(2, 3)])
         assert counted == ["gcd"]
 
+    @pytest.mark.parametrize("p,k", [(3, 2), (13, 1), (2, 4), (5, 2)])
+    def test_exercise_bijection_on_table_roots(self, p, k):
+        # for b != 0, x -> (b/x)^m maps the roots of X^(m+1) + aX + b onto
+        # those of X^(n+1) + aX + b^m; every root is found by FieldCtx
+        # arithmetic alone, and each count is the table's entry
+        ctx = extension_field(p, k)
+        pairs = _reciprocal_pairs(ctx.q)
+        roots = {}
+        for d in {m + 1 for m, _ in pairs}:
+            table = _root_count_table(ctx, d)
+            found = _field_roots(ctx, d)
+            assert [[len(found[a][b]) for b in ctx.elements()] for a in ctx.elements()] == table
+            roots[d] = found
+        for m, n in pairs:
+            for a in ctx.elements():
+                for b in range(1, ctx.q):
+                    image = {ctx.pow(ctx.mul(b, ctx.inv(x)), m) for x in roots[m + 1][a][b]}
+                    assert image == roots[n + 1][a][ctx.pow(b, m)], (m, n, a, b)
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (13, 1), (2, 4), (5, 2)])
+    def test_root_count_table_invariant_under_scaling(self, p, k):
+        # X = tY turns X^d + aX + b into t^d (Y^d + a t^(1-d) Y + b t^(-d)),
+        # so both trinomials have the same number of roots for every unit t
+        ctx = extension_field(p, k)
+        for d in {m + 1 for m, _ in _reciprocal_pairs(ctx.q)}:
+            table = _root_count_table(ctx, d)
+            for t in range(1, ctx.q):
+                s = ctx.inv(t)
+                scale_a, scale_b = ctx.pow(s, d - 1), ctx.pow(s, d)
+                for a in ctx.elements():
+                    row = table[ctx.mul(a, scale_a)]
+                    assert [row[ctx.mul(b, scale_b)] for b in ctx.elements()] == table[a], (d, t, a)
+
     def test_odd_specialization_matches_theorem(self):
         # a = -2, b = 1 rows restate the prime-field theorem records
         report = run_exercise_scan([(5, 1)])
@@ -273,6 +317,13 @@ def _orbit_pairs(q):
     within = [(a, b) for a, b in pairs if orbits[a] == orbits[b]]
     cross = [(a, b) for a, b in pairs if orbits[a] != orbits[b]]
     return within, cross, {(a, b) for a, b in cross if (a, b) == (min(orbits[a]), min(orbits[b]))}
+
+
+def _links(q):
+    """Each digraph's pair with its orbit's least key, for every digraph
+    that is not that key."""
+    within, _, _ = _orbit_pairs(q)
+    return {(a, b) for a, b in within if a == min(unit_orbit(q, *a))}
 
 
 class TestConjectureScan:
@@ -340,23 +391,28 @@ class TestConjectureScan:
         with pytest.raises(CapExceeded):
             run_conjecture_scan(prime_field(17))
 
-    @pytest.mark.parametrize("p,expected", [(5, 6 + 45), (7, 16 + 190)])
-    def test_one_decision_per_representative_pair(self, monkeypatch, p, expected):
-        # within-orbit pairs each, then C(classes, 2) representative pairs
+    @pytest.mark.parametrize("q,expected", [(5, 6 + 45), (7, 16 + 190), (8, 40 + 36)])
+    def test_one_decision_per_representative_pair(self, monkeypatch, q, expected):
+        # one link per digraph that is not its orbit's representative, then
+        # C(classes, 2) representative pairs; every within-orbit pair over
+        # GF(5) and GF(7) is a link, and GF(8) is the first field with
+        # within-orbit pairs that are not, which no decision reaches
         calls = _counting_decide_iso(monkeypatch)
-        report = run_conjecture_scan(prime_field(p))
+        report = run_conjecture_scan(extension_field(*{5: (5, 1), 7: (7, 1), 8: (2, 3)}[q]))
         assert report.all_passed
         assert len(calls) == expected
-        within, _, reps = _orbit_pairs(p)
+        within, _, reps = _orbit_pairs(q)
+        links = _links(q)
+        assert (len(links) < len(within)) == (q == 8)
         assert len(set(calls)) == len(calls)
-        assert set(calls) == set(within) | reps
+        assert set(calls) == links | reps
 
     @pytest.mark.parametrize("p,k,budget,expected", [
         (2, 2, caps.DEFAULT_SEARCH_BUDGET, 14),
         (5, 1, caps.DEFAULT_SEARCH_BUDGET, 51),
         (7, 1, caps.DEFAULT_SEARCH_BUDGET, 206),
-        (2, 3, caps.DEFAULT_SEARCH_BUDGET, 156),
-        (2, 3, 3, 331),
+        (2, 3, caps.DEFAULT_SEARCH_BUDGET, 76),
+        (2, 3, 3, 251),
     ])
     def test_no_pair_decided_twice(self, monkeypatch, p, k, budget, expected):
         calls = _counting_decide_iso(monkeypatch)
@@ -410,6 +466,49 @@ class TestConjectureScan:
         assert (failures[0].observed["m2"], failures[0].observed["n2"]) == unlinked
         assert failures[0].witness == "within-orbit pair has no power-map certificate"
         assert report_exit_code(report) == 1
+
+    def test_unlinked_digraph_fails_its_within_orbit_pairs(self, monkeypatch):
+        # over GF(8), (2, 4) is in the orbit of (1, 2) with four more keys;
+        # without its link no within-orbit pair that holds it is certified
+        unlinked = (2, 4)
+        assert min(unit_orbit(8, *unlinked)) == (1, 2)
+        within, cross, reps = _orbit_pairs(8)
+
+        def refute_link(first, second):
+            if (first, second) == ((1, 2), unlinked):
+                return Decision(NOT_ISOMORPHIC, INVARIANTS, None, 0)
+            return None
+
+        calls = _counting_decide_iso(monkeypatch, refute_link)
+        report = run_conjecture_scan(extension_field(2, 3))
+        with_unlinked = [pair for pair in cross if unlinked in pair]
+        assert len(with_unlinked) == 43
+        assert sorted(calls) == sorted(list(_links(8)) + list(reps) + with_unlinked)
+        failed = [((r.params["m"], r.params["n"]), (r.observed["m2"], r.observed["n2"]))
+                  for r in report.failures()]
+        assert failed == [pair for pair in within if unlinked in pair]
+        assert len(failed) == 5
+        assert all(r.witness == "within-orbit pair has no power-map certificate"
+                   for r in report.failures())
+        assert report_exit_code(report) == 1
+
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (13, 1)])
+    def test_links_compose_to_within_orbit_certificates(self, p, k):
+        # the scan passes a within-orbit pair (A, B) on its two links alone:
+        # rep -> A by x1^k_A and rep -> B by x1^k_B give A -> B by
+        # x1^(k_B / k_A), which must pass verify_iso
+        ctx = extension_field(p, k)
+        q = ctx.q
+        within, _, _ = _orbit_pairs(q)
+        digraphs = {key: build_digraph(ctx, *key) for pair in within for key in pair}
+        power_k = {}
+        for key, digraph in digraphs.items():
+            rep = min(unit_orbit(q, *key))
+            power_k[key] = 1 if key == rep else decide_iso(digraphs[rep], digraph).power_k
+        for a, b in within:
+            k_ab = power_k[b] * pow(power_k[a], -1, q - 1) % (q - 1)
+            cert = power_map_iso(digraphs[a], digraphs[b], k_ab)
+            assert verify_iso(digraphs[a], digraphs[b], cert).ok, (a, b)
 
 
 class TestEmission:

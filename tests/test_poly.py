@@ -239,6 +239,24 @@ class TestNontrivialRootCounts:
     def test_gf2_is_all_zeros(self):
         assert nontrivial_root_counts(prime_field(2)) == [0, 0]
 
+    @pytest.mark.parametrize("p", PRIMES_TO_113[1:])  # the odd primes below 120
+    def test_reciprocal_exponents_biject_their_roots(self, p):
+        # the theorem's bijection: for mn = 1 mod (p - 1), x -> x^(-m) maps
+        # the nontrivial roots of X^(m+1) - 2X + 1 onto those of
+        # X^(n+1) - 2X + 1, each root found by plain modular evaluation
+        counts = nontrivial_root_counts(prime_field(p))
+
+        def roots(e):
+            return {x for x in range(2, p) if (pow(x, e + 1, p) - 2 * x + 1) % p == 0}
+
+        for m in range(1, p):
+            if math.gcd(m, p - 1) != 1:
+                continue
+            n = pow(m, -1, p - 1)
+            roots_m, roots_n = roots(m), roots(n)
+            assert {pow(x, -m, p) for x in roots_m} == roots_n, (m, n)
+            assert len(roots_m) == len(roots_n) == counts[m] == counts[n], (m, n)
+
     @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3)])
     def test_extension_field_refused(self, p, k):
         with pytest.raises(ValueError, match=rf"needs a prime field, got GF\({p}\^{k}\)"):
