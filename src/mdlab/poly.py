@@ -8,7 +8,8 @@ with X^q mod f from left-to-right binary exponentiation, which never
 materializes X^q and is the fast path for very large prime fields.
 For the family X^(n+1) - 2X + 1 over GF(p), ``nontrivial_root_counts``
 tallies the roots of every exponent n at once, in one pass over the
-field in discrete logs.
+field in discrete logs, and certifies each element's contribution by
+modular powers and multiplicative orders, with no discrete log.
 
 Each field kind has one arithmetic path, and neither calls a FieldCtx
 method per coefficient in ``mul``, ``poly_mod`` or ``eval_at``. Prime
@@ -504,7 +505,16 @@ def nontrivial_root_counts(ctx: FieldCtx) -> list[int]:
     d in [2, p], one full residue system, are the h terms of a progression
     with step (p - 1)/h, and x adds one to the tally of each. x = 0 and
     x = 1/2 are never roots and x = 1 is the trivial one, so r(n) =
-    tally[n + 1]."""
+    tally[n + 1].
+
+    Each x is also checked by powers alone, which need no log: its order
+    is p - 1 divided by each prime divisor s while x^(order/s) = 1, and
+    y = 2x - 1 lies in <x> exactly when y^order = 1. The log route must
+    agree: (p - 1)/h is the order, h | j exactly when y lies in <x>, and
+    its least solution d0 has x^d0 = y. Then the solutions of x^d = y
+    are exactly d = d0 mod the order, the progression tallied, so every
+    count is certified; any disagreement raises MethodDisagreement. Both
+    routes take the prime divisors of p - 1 from field._prime_divisors."""
     if ctx.k != 1:
         raise ValueError(f"nontrivial_root_counts needs a prime field, got {ctx!r}")
     from .field import _prime_divisors  # field imports this module
@@ -514,8 +524,8 @@ def nontrivial_root_counts(ctx: FieldCtx) -> list[int]:
     if p == 2:  # GF(2) holds only 0 and 1
         return tally[1:]
     r = p - 1
-    cofactors = [r // s for s in _prime_divisors(r)]
-    g = next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in cofactors))
+    primes = _prime_divisors(r)
+    g = next(g for g in range(2, p) if all(pow(g, r // s, p) != 1 for s in primes))
     log = [0] * p
     x = 1
     for i in range(r):
@@ -525,12 +535,21 @@ def nontrivial_root_counts(ctx: FieldCtx) -> list[int]:
     for x in range(2, p):
         if x == half:
             continue
-        i, j = log[x], log[(2 * x - 1) % p]
+        y = (2 * x - 1) % p
+        order = r
+        for s in primes:
+            while order % s == 0 and pow(x, order // s, p) == 1:
+                order //= s
+        i, j = log[x], log[y]
         h = math.gcd(i, r)
+        step = r // h
+        if step != order or (j % h == 0) != (pow(y, order, p) == 1):
+            raise MethodDisagreement(f"{ctx!r}: logs and powers disagree at x = {x}")
         if j % h:
             continue
-        step = r // h
         d0 = j // h * pow(i // h, -1, step) % step
+        if pow(x, d0, p) != y:
+            raise MethodDisagreement(f"{ctx!r}: the log route's x^{d0} is not 2x - 1 at x = {x}")
         for d in range(2 + (d0 - 2) % step, p + 1, step):
             tally[d] += 1
     return tally[1:]

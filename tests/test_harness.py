@@ -2,6 +2,7 @@
 worker counts, and independently recomputed record totals."""
 from __future__ import annotations
 
+import builtins
 import io
 import itertools
 import math
@@ -9,6 +10,7 @@ import random
 
 import pytest
 
+import mdlab.field
 import mdlab.harness
 import mdlab.poly
 from mdlab import caps
@@ -122,32 +124,46 @@ class TestTheoremScan:
             assert rec.passed
 
     @staticmethod
-    def _tally_off_by_one(monkeypatch):
-        tally = mdlab.harness.nontrivial_root_counts
-        monkeypatch.setattr(mdlab.harness, "nontrivial_root_counts",
-                            lambda ctx: [r + 1 for r in tally(ctx)])
+    def _divisors_fault(monkeypatch):
+        # every p - 1 is even, so [2] is right for p = 3 and 5 and first
+        # wrong at p = 7: the order route then misses the factor 3, and
+        # the certificate must refuse the log route's counts there
+        monkeypatch.setattr(mdlab.field, "_prime_divisors", lambda n: [2])
         monkeypatch.setenv("MDL_THREADS", "1")
 
     def test_tally_disagreement_raises(self, monkeypatch):
-        # a tally off by one must stop the scan at its first count, not
-        # become a record
-        self._tally_off_by_one(monkeypatch)
-        with pytest.raises(MethodDisagreement, match=r"^X\^2 - 2X \+ 1 over GF\(3\): the log "
-                                                     r"tally found 1 nontrivial roots, gcd 0$"):
+        # a faulted certificate must stop the scan at its first
+        # disagreement, not become a record
+        self._divisors_fault(monkeypatch)
+        with pytest.raises(MethodDisagreement,
+                           match=r"^GF\(7\): logs and powers disagree at x = 6$"):
             run_theorem_scan(31)
 
     def test_tally_disagreement_exits_2(self, monkeypatch, capsys):
-        self._tally_off_by_one(monkeypatch)
+        self._divisors_fault(monkeypatch)
         code = cli_main(["theorem", "--pmax", "31"])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith("error: X^2 - 2X + 1 over GF(3): the log tally found")
-        assert err.count("\n") == 1
+        assert err == "error: GF(7): logs and powers disagree at x = 6\n"
+
+    def test_wrong_log_solution_raises(self, monkeypatch):
+        # orders and membership stay right, but every modular inverse the
+        # log route takes is off by one, so its first exponent d0 is wrong
+        # wherever j/h is not 0 mod the order: x^d0 = 2x - 1 must catch it
+        def inverse_off_by_one(base, exp, mod=None):
+            return builtins.pow(base, exp, mod) + (exp == -1)
+
+        monkeypatch.setattr(mdlab.poly, "pow", inverse_off_by_one, raising=False)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        with pytest.raises(MethodDisagreement,
+                           match=r"^GF\(5\): the log route's x\^2 is not 2x - 1 at x = 2$"):
+            run_theorem_scan(31)
 
     def test_exhaustive_evaluation_only_in_formula_checks(self, monkeypatch):
-        # the tally and the gcd route count every exponent; exhaustive
-        # evaluation runs only in the formula checks of --digraphs, p <= 13
+        # the certified tally counts every exponent; exhaustive evaluation
+        # runs only where the formula checks of --digraphs count their own
+        # roots, at p <= 13
         evaluated = []
         bruteforce = mdlab.poly._roots_bruteforce
 
@@ -161,6 +177,36 @@ class TestTheoremScan:
         assert evaluated == []
         run_theorem_scan(31, with_digraphs=True)
         assert evaluated and max(evaluated) <= caps.MAX_PATTERN_HOST_ORDER
+
+    def test_gcd_route_only_in_formula_checks(self, monkeypatch):
+        # the tally certifies itself by powers; the gcd route runs only in
+        # the formula checks, once per unit exponent of each p <= 13
+        counted = []
+        roots_gcd = mdlab.poly._roots_gcd
+
+        def recording(ctx, f):
+            counted.append(ctx.p)
+            return roots_gcd(ctx, f)
+
+        monkeypatch.setattr(mdlab.poly, "_roots_gcd", recording)
+        monkeypatch.setenv("MDL_THREADS", "1")
+        run_theorem_scan(31)
+        assert counted == []
+        run_theorem_scan(31, with_digraphs=True)
+        assert len(counted) == 13
+        assert max(counted) <= caps.MAX_PATTERN_HOST_ORDER
+
+    def test_formula_expectations_match_the_tally(self):
+        # each k_formula record's expected count, from the formula check's
+        # own root count, is (p - 1) times the certified tally's r_m
+        report = run_theorem_scan(31, with_digraphs=True)
+        r_m = {(r.params["p"], r.params["m"]): r.observed["r_m"]
+               for r in report.records if r.check == "theorem"}
+        formula = [r for r in report.records if r.check == "k_formula"]
+        assert len(formula) == 13
+        for rec in formula:
+            p, e = rec.params["p"], rec.params["n"]
+            assert rec.observed["expected"] == (p - 1) * r_m[p, e], (p, e)
 
     def test_each_prime_tallied_once_per_scan(self, monkeypatch):
         # one item per prime, and no tally outlives its scan

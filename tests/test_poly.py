@@ -228,7 +228,8 @@ PRIMES_TO_113 = [p for p in range(2, 114) if all(p % d for d in range(2, math.is
 
 
 class TestNontrivialRootCounts:
-    @pytest.mark.parametrize("p", PRIMES_TO_113)
+    # 257 - 1 = 2^8: the order loop's longest run on one prime
+    @pytest.mark.parametrize("p", PRIMES_TO_113 + [257])
     def test_every_exponent_matches_the_per_exponent_count(self, p):
         ctx = prime_field(p)
         counts = nontrivial_root_counts(ctx)
