@@ -12,7 +12,8 @@ MethodDisagreement. A theorem-scan work item is one prime: it reads each
 exponent's count off one discrete-log tally, which certifies itself by
 modular powers (poly.nontrivial_root_counts). An exercise-scan item is
 one reciprocal pair of a field: it tallies one degree's counts per a by
-exhaustive evaluation and checks each by the gcd route.
+exhaustive evaluation and checks them by the gcd route, one gcd count per
+substitution orbit X = Y/u.
 """
 from __future__ import annotations
 
@@ -193,23 +194,36 @@ def _root_count_table(ctx: FieldCtx, d: int) -> list[list[int]]:
     field, by two methods that must agree. Exhaustive evaluation is one
     pass over the field per a: X^d + aX + b vanishes at x exactly when
     X^d + aX takes the value -b there, so a tally of those values counts
-    the roots for every b at once. Each count is then checked against the
-    gcd method."""
+    the roots for every b at once. The gcd method then counts once per
+    substitution orbit: X = Y/u turns X^d + aX + b into
+    u^-d (Y^d + a u^(d-1) Y + b u^d), so for every unit u the pair
+    (a u^(d-1), b u^d) has the count of (a, b). Each orbit's gcd count,
+    taken on its first pair in (a, b) order, must equal the tally of every
+    pair of the orbit: q + gcd(d-1, q-1) + gcd(d, q-1) gcd counts in all."""
+    q = ctx.q
     neg = [ctx.neg(b) for b in ctx.elements()]
     table = []
     for a in ctx.elements():
         g = trinomial(ctx, d, a, 0)
-        tally = [0] * ctx.q
+        tally = [0] * q
         for x in ctx.elements():
             tally[eval_at(ctx, g, x)] += 1
-        row = [tally[minus_b] for minus_b in neg]
-        for b, by_eval in enumerate(row):
-            by_gcd = distinct_root_count(ctx, trinomial(ctx, d, a, b), method="gcd").distinct
-            if by_gcd != by_eval:
-                raise MethodDisagreement(
-                    f"X^{d} + {a}X + {b} over {ctx!r}: bruteforce found {by_eval} "
-                    f"distinct roots, gcd {by_gcd}")
-        table.append(row)
+        table.append([tally[minus_b] for minus_b in neg])
+    scales = [(ctx.pow(u, d - 1), ctx.pow(u, d)) for u in range(1, q)]
+    checked = [bytearray(q) for _ in range(q)]
+    for a0 in ctx.elements():
+        for b0 in ctx.elements():
+            if checked[a0][b0]:
+                continue
+            by_gcd = distinct_root_count(ctx, trinomial(ctx, d, a0, b0), method="gcd").distinct
+            for scale_a, scale_b in scales:
+                a, b = ctx.mul(a0, scale_a), ctx.mul(b0, scale_b)
+                checked[a][b] = 1
+                if table[a][b] != by_gcd:
+                    raise MethodDisagreement(
+                        f"X^{d} + {a}X + {b} over {ctx!r}: bruteforce found {table[a][b]} "
+                        f"distinct roots, gcd {by_gcd} (counted on X^{d} + {a0}X + {b0}, "
+                        f"its substitution orbit's first pair)")
     return table
 
 
@@ -247,8 +261,9 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
     """Prime-power generalization: for each field, every reciprocal pair
     (m, n) mod (q-1) and every (a, b), the trinomials X^(m+1) + aX + b and
     X^(n+1) + aX + b^m must have equal distinct-root counts. One work
-    item covers a pair and its mirror, and every count is cross-checked
-    by exhaustive evaluation and by the gcd method."""
+    item covers a pair and its mirror. Every count comes from exhaustive
+    evaluation and is checked against a gcd count, taken once per
+    substitution orbit of (a, b) (_root_count_table)."""
     # a repeated field is refused before any is built; then extension_field
     # checks p, k and the field order (the tables stay lazy), the scan q
     seen = set()

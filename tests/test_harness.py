@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -294,6 +295,52 @@ class TestExerciseScan:
         with pytest.raises(MethodDisagreement, match="bruteforce found"):
             run_exercise_scan([(2, 3)])
         assert counted == ["gcd"]
+
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (13, 1), (2, 4)])
+    def test_one_gcd_count_per_substitution_orbit(self, monkeypatch, p, k):
+        # (0, 0) is one orbit, (a, 0) makes gcd(d-1, q-1) and (0, b)
+        # gcd(d, q-1); u acts freely on a, b != 0, which makes q - 1 more
+        ctx = extension_field(p, k)
+        q = ctx.q
+        counted = []
+
+        def recording(ctx, f, method="auto"):
+            counted.append(method)
+            return distinct_root_count(ctx, f, method)
+
+        monkeypatch.setattr(mdlab.harness, "distinct_root_count", recording)
+        for d in sorted({m + 1 for m, _ in _reciprocal_pairs(q)}):
+            counted.clear()
+            _root_count_table(ctx, d)
+            assert counted == ["gcd"] * (q + math.gcd(d - 1, q - 1) + math.gcd(d, q - 1)), d
+
+    def test_every_table_entry_checked(self, monkeypatch):
+        # corrupting one evaluation of row a moves one root between two
+        # entries of that row; both methods must then disagree on a pair of
+        # row a, whether or not it is its orbit's first pair
+        ctx = extension_field(3, 2)
+        d = 4
+        evaluate = mdlab.harness.eval_at
+        monkeypatch.setenv("MDL_THREADS", "1")
+        off_first_pair = 0
+        for a in ctx.elements():
+            g = trinomial(ctx, d, a, 0)
+
+            def corrupted(ctx, f, x, g=g):
+                value = evaluate(ctx, f, x)
+                return ctx.add(value, 1) if f == g and x == 1 else value
+
+            monkeypatch.setattr(mdlab.harness, "eval_at", corrupted)
+            with pytest.raises(MethodDisagreement, match="bruteforce found") as raised:
+                run_exercise_scan([(3, 2)])
+            found = re.fullmatch(
+                r"X\^4 \+ (\d+)X \+ (\d+) over GF\(3\^2\): bruteforce found \d+ distinct roots, "
+                r"gcd \d+ \(counted on X\^4 \+ (\d+)X \+ (\d+), its substitution orbit's first pair\)",
+                str(raised.value))
+            assert found and int(found[1]) == a, str(raised.value)
+            pair, first_pair = found.group(1, 2), found.group(3, 4)
+            off_first_pair += pair != first_pair
+        assert off_first_pair > 0
 
     @pytest.mark.parametrize("p,k", [(3, 2), (13, 1), (2, 4), (5, 2)])
     def test_exercise_bijection_on_table_roots(self, p, k):
