@@ -1,19 +1,19 @@
 """Batch verification scans and deterministic report emission.
 
-Each scan produces a ScanReport: its CheckRecords, sorted into
-lexicographic parameter order, and nothing else; a scan's verdict is a
-record too (the conjecture scan's `conjecture` record). Work items are
-independent, so the theorem and exercise scans can fan out across a
-process pool (worker count from MDL_THREADS only, default the usable CPU
-count); results are buffered and sorted before assembly, which makes
-reports byte-identical regardless of schedule. Failing records never
-abort a scan; a root count on which two methods disagree does, with
-MethodDisagreement. A theorem-scan work item is one prime: it reads each
-exponent's count off one discrete-log tally, which certifies itself by
-modular powers (poly.nontrivial_root_counts). An exercise-scan item is
-one reciprocal pair of a field: it tallies one degree's counts per a by
-exhaustive evaluation and checks them by the gcd route, one gcd count per
-substitution orbit X = Y/u.
+Each scan produces a ScanReport: its CheckRecords in report order, and
+nothing else; a scan's verdict is a record too (the conjecture scan's
+`conjecture` record). Work items are independent, so the theorem and
+exercise scans can fan out across a process pool (worker count from
+MDL_THREADS only, default the usable CPU count). A work item returns its
+records as keyed runs, each already in report order, and the parent sorts
+only the runs by key, which makes reports byte-identical regardless of
+schedule. Failing records never abort a scan; a root count on which two
+methods disagree does, with MethodDisagreement. A theorem-scan work item
+is one prime: it reads each exponent's count off one discrete-log tally,
+which certifies itself by modular powers (poly.nontrivial_root_counts).
+An exercise-scan item is one reciprocal pair of a field: it tallies one
+degree's counts per a by exhaustive evaluation and checks them by the gcd
+route, one gcd count per substitution orbit X = Y/u.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
-from typing import IO, Iterable, Sequence
+from operator import itemgetter
+from typing import IO, Sequence
 
 from . import caps
 from .digraph import build_digraph
@@ -57,13 +57,6 @@ class CheckRecord:
         if not self.passed and self.witness is None:
             raise ValueError("failing records must carry a witness")
 
-    def sort_key(self):
-        return (
-            tuple(self.params.get(k, -1) for k in PARAM_ORDER),
-            self.check,
-            tuple(sorted(self.observed.items())),
-        )
-
 
 @dataclass
 class ScanReport:
@@ -75,10 +68,6 @@ class ScanReport:
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if not r.passed]
-
-
-def _assemble(records: Iterable[CheckRecord]) -> ScanReport:
-    return ScanReport(sorted(records, key=CheckRecord.sort_key))
 
 
 def _usable_cpus() -> int:
@@ -103,7 +92,10 @@ def _resolve_workers() -> int:
     return min(count, _usable_cpus())
 
 
-def _run_items(worker, items: Sequence) -> list[CheckRecord]:
+def _run_items(worker, items: Sequence) -> ScanReport:
+    """Every item's (key, records) runs, each in report order, sorted by
+    key and concatenated: one item's runs need not be adjacent in report
+    order (an exercise item's two sides), and a scan has a few dozen."""
     workers = _resolve_workers()
     if workers <= 1 or len(items) < 2:
         batches = map(worker, items)
@@ -118,10 +110,8 @@ def _run_items(worker, items: Sequence) -> list[CheckRecord]:
                 batches = list(pool.map(worker, items))
         except BrokenProcessPool as exc:
             raise WorkerPoolFailed(f"worker pool failed: {exc}") from exc
-    out: list[CheckRecord] = []
-    for batch in batches:
-        out.extend(batch)
-    return out
+    runs = sorted((run for batch in batches for run in batch), key=itemgetter(0))
+    return ScanReport([rec for _, records in runs for rec in records])
 
 
 def _odd_primes_up_to(limit: int) -> list[int]:
@@ -138,12 +128,12 @@ def _reciprocal_pairs(q: int) -> list[tuple[int, int]]:
 
 # --- theorem scan ---
 
-def _theorem_worker(item: tuple[int, bool]) -> list[CheckRecord]:
-    """Records of one odd prime p, in report order: with digraphs the
-    k_formula record of each unit exponent, then the theorem record of
-    each reciprocal pair (m, n). Each exponent's count r is read off the
-    prime's one-pass log tally, which checks every count by powers as it
-    goes; with digraphs the formula checks also count their own roots."""
+def _theorem_worker(item: tuple[int, bool]) -> list[tuple[int, list[CheckRecord]]]:
+    """One run keyed p, odd prime p's records in report order: with
+    digraphs the k_formula record of each unit exponent, then the theorem
+    record of each reciprocal pair (m, n) by m. Each count r is read off
+    the prime's one-pass log tally, which checks every count by powers as
+    it goes; with digraphs the formula checks also count their own roots."""
     p, with_digraphs = item
     ctx = prime_field(p)
     pairs = _reciprocal_pairs(p)
@@ -165,7 +155,7 @@ def _theorem_worker(item: tuple[int, bool]) -> list[CheckRecord]:
             ok = ok and c_m == c_n
         records.append(CheckRecord("theorem", {"p": p, "m": m, "n": n}, observed, ok,
                                    None if ok else f"observed {observed}"))
-    return records
+    return [(p, records)]
 
 
 def run_theorem_scan(p_max: int, with_digraphs: bool = False) -> ScanReport:
@@ -184,7 +174,7 @@ def run_theorem_scan(p_max: int, with_digraphs: bool = False) -> ScanReport:
                           f"p_max <= {caps.MAX_THEOREM_PMAX}")
     items = [(p, with_digraphs and p <= caps.MAX_PATTERN_HOST_ORDER)
              for p in _odd_primes_up_to(p_max)]
-    return _assemble(_run_items(_theorem_worker, items))
+    return _run_items(_theorem_worker, items)
 
 
 # --- exercise scan ---
@@ -227,10 +217,10 @@ def _root_count_table(ctx: FieldCtx, d: int) -> list[list[int]]:
     return table
 
 
-def _exercise_worker(item: tuple[int, int, int, int]) -> list[CheckRecord]:
-    """Records of one reciprocal pair m <= n: every (a, b) of (m, n) and,
-    when m != n, of its mirror (n, m), from one root-count table per
-    degree. b -> b^m permutes the field, so the right-hand sides of (m, n)
+def _exercise_worker(item: tuple[int, int, int, int]) -> list[tuple[tuple, list[CheckRecord]]]:
+    """One run per side of a reciprocal pair m <= n, keyed (p, k, m, n):
+    every (a, b) of (m, n) in order and, when m != n, of its mirror
+    (n, m), from one root-count table per degree. b -> b^m permutes the field, so the right-hand sides of (m, n)
     are the table of degree n + 1 read at b^m, and those of (n, m) the
     table of degree m + 1 read at b^n."""
     p, k, m, n = item
@@ -239,8 +229,10 @@ def _exercise_worker(item: tuple[int, int, int, int]) -> list[CheckRecord]:
     t_m = _root_count_table(ctx, m + 1)
     t_n = t_m if n == m else _root_count_table(ctx, n + 1)
     sides = [(m, n, t_m, t_n)] if m == n else [(m, n, t_m, t_n), (n, m, t_n, t_m)]
-    records = []
+    runs = []
     for first, second, left, right in sides:
+        records = []
+        runs.append(((p, k, first, second), records))
         powers = [ctx.pow(b, first) for b in ctx.elements()]
         for a in ctx.elements():
             for b in ctx.elements():
@@ -254,7 +246,7 @@ def _exercise_worker(item: tuple[int, int, int, int]) -> list[CheckRecord]:
                     passed=ok,
                     witness=None if ok else f"left {lhs} != right {rhs}",
                 ))
-    return records
+    return runs
 
 
 def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
@@ -278,7 +270,7 @@ def run_exercise_scan(fields: Sequence[tuple[int, int]]) -> ScanReport:
                               f"q <= {caps.MAX_EXERCISE_ORDER}")
     items = [(ctx.p, ctx.k, m, n) for ctx in contexts
              for (m, n) in _reciprocal_pairs(ctx.q) if m <= n]
-    return _assemble(_run_items(_exercise_worker, items))
+    return _run_items(_exercise_worker, items)
 
 
 # --- conjecture scan ---
@@ -299,8 +291,10 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     to (A, B) when A and B are both linked, since A ~ rep A and B ~ rep B
     by certified maps. Otherwise (A, B) is decided on itself, so every
     found certificate is the pair's own. Cross-orbit pairs must come back
-    non-isomorphic. The verdict is the `conjecture` record: it passes, or
-    its witness names the first cross-orbit isomorphic pair. Runs
+    non-isomorphic. The verdict, the report's first record, is the
+    `conjecture` record: it passes, or its witness names the first
+    cross-orbit isomorphic pair. Then come each first pair's records,
+    undecided, refuted and isomorphic ones, each by second pair. Runs
     serially; q is capped so the whole scan is desk-scale.
     """
     q = ctx.q
@@ -319,44 +313,48 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     records = []
     exhausted = 0
     counterexample: str | None = None
-    for first, second in combinations(keys, 2):
-        params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
-        observed = {"m2": second[0], "n2": second[1]}
-        both_linked = linked.issuperset((first, second))
-        same_orbit = rep[first] == rep[second]
-        if not same_orbit:
-            decision = decide(*sorted((rep[first], rep[second])))
-            # only a refutation carries over, and only through certified links
-            if not (decision.status == NOT_ISOMORPHIC and both_linked):
-                decision = decide(first, second)
-        if same_orbit:
-            # the two links compose to a power map from first to second
-            observed["isomorphic"] = 1
-            observed["decided"] = 1
-            ok = both_linked
-            witness = None if ok else "within-orbit pair has no power-map certificate"
-        elif decision.status == NOT_ISOMORPHIC:
-            observed["isomorphic"] = 0
-            observed["decided"] = 1
-            ok = True
-            witness = None
-        elif decision.status == FOUND:
-            observed["isomorphic"] = 1
-            observed["decided"] = 1
-            ok = False
-            witness = ("cross-orbit pair is isomorphic; certificate="
-                       + certificate_to_json(decision.certificate))
-            counterexample = counterexample or (
-                f"D({q};{first[0]},{first[1]}) ~ D({q};{second[0]},{second[1]})")
-        else:
-            assert decision.status == EXHAUSTED
-            observed["decided"] = 0
-            ok = False
-            witness = f"budget exhausted after {decision.expansions} expansions"
-            exhausted += 1
-        records.append(CheckRecord("iso", params, observed, ok, witness))
+    for i, first in enumerate(keys):
+        run = []
+        for second in keys[i + 1:]:
+            params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
+            observed = {"m2": second[0], "n2": second[1]}
+            both_linked = linked.issuperset((first, second))
+            same_orbit = rep[first] == rep[second]
+            if not same_orbit:
+                decision = decide(*sorted((rep[first], rep[second])))
+                # only a refutation carries over, and only through certified links
+                if not (decision.status == NOT_ISOMORPHIC and both_linked):
+                    decision = decide(first, second)
+            if same_orbit:
+                # the two links compose to a power map from first to second
+                observed.update(isomorphic=1, decided=1)
+                ok = both_linked
+                witness = None if ok else "within-orbit pair has no power-map certificate"
+            elif decision.status == NOT_ISOMORPHIC:
+                observed.update(isomorphic=0, decided=1)
+                ok = True
+                witness = None
+            elif decision.status == FOUND:
+                observed.update(isomorphic=1, decided=1)
+                ok = False
+                witness = ("cross-orbit pair is isomorphic; certificate="
+                           + certificate_to_json(decision.certificate))
+                counterexample = counterexample or (
+                    f"D({q};{first[0]},{first[1]}) ~ D({q};{second[0]},{second[1]})")
+            else:
+                assert decision.status == EXHAUSTED
+                observed["decided"] = 0
+                ok = False
+                witness = f"budget exhausted after {decision.expansions} expansions"
+                exhausted += 1
+            # by (decided, isomorphic, second pair): the order of the observed
+            # items, whose names sort decided < isomorphic < m2 < n2
+            run.append(((observed["decided"], observed.get("isomorphic", 0), second),
+                        CheckRecord("iso", params, observed, ok, witness)))
+        run.sort(key=itemgetter(0))
+        records.extend(record for _, record in run)
 
-    records.append(CheckRecord(
+    verdict = CheckRecord(
         check="conjecture",
         params={"p": ctx.p, "k": ctx.k, "q": q},
         observed={
@@ -366,8 +364,8 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
         },
         passed=counterexample is None,
         witness=counterexample,
-    ))
-    return _assemble(records)
+    )
+    return ScanReport([verdict, *records])
 
 
 # --- emission ---

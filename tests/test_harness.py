@@ -24,6 +24,9 @@ from mdlab.iso import (EXHAUSTED, FOUND, INVARIANTS, NOT_ISOMORPHIC, SEARCH, Dec
 from mdlab.patterns import count_looped_arc
 from mdlab.poly import RootCount, distinct_root_count, nontrivial_root_count, trinomial
 from mdlab.harness import (
+    PARAM_ORDER,
+    CheckRecord,
+    ScanReport,
     _reciprocal_pairs,
     _root_count_table,
     emit_report,
@@ -44,6 +47,13 @@ def csv_bytes(report):
     buf = io.StringIO()
     emit_report(report, "csv", buf)
     return buf.getvalue().encode()
+
+
+def reference_order(record):
+    """Report order: parameters in PARAM_ORDER, a missing one as -1, then
+    the check, then the observed items by name."""
+    return (tuple(record.params.get(k, -1) for k in PARAM_ORDER), record.check,
+            tuple(sorted(record.observed.items())))
 
 
 class TestTheoremScan:
@@ -642,6 +652,26 @@ class TestEmission:
         monkeypatch.setattr(mdlab.harness, "_run_items", reordered)
         assert [jsonl_bytes(scan()) for scan in scans] == expected
 
+    @pytest.mark.parametrize("scan", [
+        lambda: run_theorem_scan(31, with_digraphs=True),
+        # fields out of (p, k) order, so runs re-sort across fields
+        lambda: run_exercise_scan([(3, 2), (2, 3), (5, 1), (2, 2)]),
+        lambda: run_conjecture_scan(extension_field(2, 2), budget=1),
+        lambda: run_conjecture_scan(extension_field(2, 2), budget=2),
+        lambda: run_conjecture_scan(extension_field(2, 2), budget=3),
+        lambda: run_conjecture_scan(extension_field(2, 2)),
+        lambda: run_conjecture_scan(prime_field(5)),
+        lambda: run_conjecture_scan(extension_field(2, 3)),
+    ], ids=["theorem-31", "exercise-9,8,5,4", "gf4-budget1", "gf4-budget2",
+            "gf4-budget3", "gf4", "gf5", "gf8"])
+    def test_records_in_reference_order(self, scan):
+        # no scan sorts its records as a whole, so each must build them in
+        # report order, and no two records may tie under it
+        report = scan()
+        assert report.records == sorted(report.records, key=reference_order)
+        keys = [reference_order(r) for r in report.records]
+        assert len(set(keys)) == len(keys)
+
     def test_schedule_independent(self, monkeypatch):
         # GF(8) has mirrored pairs (2, 4) and (3, 5), emitted from one item
         # each, and a theorem item emits every pair of its prime; four
@@ -688,21 +718,19 @@ class TestExitCodes:
         assert report_exit_code(run_conjecture_scan(prime_field(3))) == 0
 
     def test_failing_record_is_one(self):
-        from mdlab.harness import CheckRecord, _assemble
         failing = CheckRecord("theorem", {"p": 5, "m": 1, "n": 1},
                               {"r_m": 0, "r_n": 1}, False, "observed mismatch")
-        report = _assemble([failing])
+        report = ScanReport([failing])
         assert report_exit_code(report) == 1
 
     def test_failure_outranks_exhaustion(self):
-        from mdlab.harness import CheckRecord, _assemble
         records = [
             CheckRecord("iso", {"p": 5, "m": 1, "n": 1},
                         {"m2": 2, "n2": 2, "decided": 0}, False, "budget exhausted"),
             CheckRecord("iso", {"p": 5, "m": 1, "n": 2},
                         {"m2": 2, "n2": 1, "decided": 1, "isomorphic": 1}, False, "bad"),
         ]
-        assert report_exit_code(_assemble(records)) == 1
+        assert report_exit_code(ScanReport(records)) == 1
 
 
 class TestWorkerConfig:
