@@ -60,15 +60,6 @@ def _pack(targets) -> bytes:
     return array("H", targets).tobytes()
 
 
-def _gather(seq, indices) -> tuple:
-    """seq[i] for each i in indices, as a tuple, gathered in C by one
-    itemgetter; itemgetter returns a bare item for one index and needs at
-    least one, so rows of 0 or 1 targets are gathered in Python."""
-    if len(indices) > 1:
-        return itemgetter(*indices)(seq)
-    return tuple(seq[i] for i in indices)
-
-
 def normalize_exponent(e: int, q: int) -> int:
     """Map e >= 1 into {1, ..., q-1}; x^e = x^normalize(e) on GF(q)."""
     if e < 1:
@@ -187,7 +178,7 @@ class MonomialDigraph:
     def relabeled_row(self, u: int, mapping) -> bytes:
         """The row of mapping[u] in the copy of this digraph relabeled by
         mapping: the images under mapping of the targets of u, sorted."""
-        return _pack(sorted(_gather(mapping, self.out_indices(u))))
+        return _pack(sorted(map(mapping.__getitem__, self.out_indices(u))))
 
     def first_relabeling_mismatch(self, other: "MonomialDigraph", mapping) -> int | None:
         """The first source u, in index order, whose relabeled_row differs
@@ -206,12 +197,12 @@ class MonomialDigraph:
         pays for one guess only.
         """
         rows = other.rows
-        first = _gather(mapping, self.out_indices(0))
+        first = tuple(map(mapping.__getitem__, self.out_indices(0)))
         width = len(first)
         # lays images out in the first row's order while it fits
         layout = itemgetter(*sorted(range(width), key=first.__getitem__)) if width > 1 else None
         for u in range(self._product_blocks(other, mapping) * self.q, self.order):
-            images = _gather(mapping, self.out_indices(u)) if u else first
+            images = tuple(map(mapping.__getitem__, self.out_indices(u))) if u else first
             if layout is not None:
                 if len(images) == width and _pack(layout(images)) == rows[mapping[u]]:
                     continue
@@ -274,7 +265,8 @@ class MonomialDigraph:
             for i in range(q):
                 wide[first_low + 2 * i::2 * q] = y2[source[i]::q]
             relabeled = (int.from_bytes(wide, sys.byteorder) + offsets).to_bytes(size, sys.byteorder)
-            if relabeled != b"".join(_gather(rows, mapping[lo:lo + q])):
+            # one C-level gather of other's rows; q >= 2 indices give a tuple
+            if relabeled != b"".join(itemgetter(*mapping[lo:lo + q])(rows)):
                 return x1
         return q
 

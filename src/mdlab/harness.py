@@ -13,7 +13,9 @@ is one prime: it reads each exponent's count off one discrete-log tally,
 which certifies itself by modular powers (poly.nontrivial_root_counts).
 An exercise-scan item is one reciprocal pair of a field: it tallies one
 degree's counts per a by exhaustive evaluation and checks them by the gcd
-route, one gcd count per substitution orbit X = Y/u.
+route, one gcd count per substitution orbit X = Y/u. The conjecture scan
+runs serially and sorts nothing: it files each pair's record under one
+of three outcome runs of its first pair.
 """
 from __future__ import annotations
 
@@ -293,9 +295,10 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     found certificate is the pair's own. Cross-orbit pairs must come back
     non-isomorphic. The verdict, the report's first record, is the
     `conjecture` record: it passes, or its witness names the first
-    cross-orbit isomorphic pair. Then come each first pair's records,
-    undecided, refuted and isomorphic ones, each by second pair. Runs
-    serially; q is capped so the whole scan is desk-scale.
+    cross-orbit isomorphic pair. Then come each first pair's three outcome
+    runs, undecided, refuted and isomorphic (decided + isomorphic = 0, 1,
+    2), each filled by second pair. Runs serially; q is capped so the whole
+    scan is desk-scale.
     """
     q = ctx.q
     if q > caps.MAX_CONJECTURE_ORDER:
@@ -314,10 +317,10 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
     exhausted = 0
     counterexample: str | None = None
     for i, first in enumerate(keys):
-        run = []
+        # undecided, refuted and isomorphic pairs, each in second-pair order:
+        # the order of the observed items, whose names sort decided < isomorphic < m2 < n2
+        runs = ([], [], [])
         for second in keys[i + 1:]:
-            params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
-            observed = {"m2": second[0], "n2": second[1]}
             both_linked = linked.issuperset((first, second))
             same_orbit = rep[first] == rep[second]
             if not same_orbit:
@@ -327,32 +330,27 @@ def run_conjecture_scan(ctx: FieldCtx, budget: int = caps.DEFAULT_SEARCH_BUDGET)
                     decision = decide(first, second)
             if same_orbit:
                 # the two links compose to a power map from first to second
-                observed.update(isomorphic=1, decided=1)
-                ok = both_linked
+                decided, isomorphic, ok = 1, 1, both_linked
                 witness = None if ok else "within-orbit pair has no power-map certificate"
             elif decision.status == NOT_ISOMORPHIC:
-                observed.update(isomorphic=0, decided=1)
-                ok = True
-                witness = None
+                decided, isomorphic, ok, witness = 1, 0, True, None
             elif decision.status == FOUND:
-                observed.update(isomorphic=1, decided=1)
-                ok = False
+                decided, isomorphic, ok = 1, 1, False
                 witness = ("cross-orbit pair is isomorphic; certificate="
                            + certificate_to_json(decision.certificate))
                 counterexample = counterexample or (
                     f"D({q};{first[0]},{first[1]}) ~ D({q};{second[0]},{second[1]})")
             else:
                 assert decision.status == EXHAUSTED
-                observed["decided"] = 0
-                ok = False
+                decided, isomorphic, ok = 0, 0, False
                 witness = f"budget exhausted after {decision.expansions} expansions"
                 exhausted += 1
-            # by (decided, isomorphic, second pair): the order of the observed
-            # items, whose names sort decided < isomorphic < m2 < n2
-            run.append(((observed["decided"], observed.get("isomorphic", 0), second),
-                        CheckRecord("iso", params, observed, ok, witness)))
-        run.sort(key=itemgetter(0))
-        records.extend(record for _, record in run)
+            observed = {"m2": second[0], "n2": second[1], "decided": decided}
+            if decided:
+                observed["isomorphic"] = isomorphic
+            params = {"p": ctx.p, "k": ctx.k, "q": q, "m": first[0], "n": first[1]}
+            runs[decided + isomorphic].append(CheckRecord("iso", params, observed, ok, witness))
+        records += runs[0] + runs[1] + runs[2]
 
     verdict = CheckRecord(
         check="conjecture",

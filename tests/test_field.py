@@ -74,6 +74,12 @@ class TestConstruction:
         assert first == (1, 0, 1)
         assert extension_field(3, 2).modulus == (1, 0, 1)
 
+    @pytest.mark.parametrize("p,error", [(1, ValueError), (2**31 + 1, CapExceeded)])
+    def test_prime_field_refuses(self, p, error):
+        with pytest.raises(error) as ei:
+            prime_field(p)
+        assert ei.type is error
+
     def test_degree_one_is_prime_field(self):
         assert extension_field(5, 1) == prime_field(5)
 
@@ -172,6 +178,11 @@ class TestPow:
         for ctx in (prime_field(3), extension_field(3, 2)):
             for a in ctx.elements():
                 assert ctx.pow(a, 0) == 1
+
+    @pytest.mark.parametrize("p,k", [(7, 1), (2, 2)])
+    def test_negative_exponent(self, p, k):
+        with pytest.raises(ValueError, match="negative exponent"):
+            extension_field(p, k).pow(3, -1)
 
     def test_gf11_pow_oracle(self):
         ctx = prime_field(11)

@@ -717,6 +717,10 @@ class TestExitCodes:
     def test_conjecture_consistent_zero(self):
         assert report_exit_code(run_conjecture_scan(prime_field(3))) == 0
 
+    def test_failing_record_needs_a_witness(self):
+        with pytest.raises(ValueError, match="must carry a witness"):
+            CheckRecord("theorem", {"p": 5, "m": 1, "n": 1}, {"r_m": 0, "r_n": 1}, False)
+
     def test_failing_record_is_one(self):
         failing = CheckRecord("theorem", {"p": 5, "m": 1, "n": 1},
                               {"r_m": 0, "r_n": 1}, False, "observed mismatch")

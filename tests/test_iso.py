@@ -398,6 +398,18 @@ class TestPowerMap:
             power_map_iso(build_digraph(ctx, 1, 2), build_digraph(ctx, 1, 1), 1)
         assert ei.value.modulus == 4
 
+    @pytest.mark.parametrize("d2,name", [((3, 2), "k*m2 = m1"), ((1, 1), "k*n2 = n1")])
+    def test_congruence_failure_names_the_relation(self, d2, name):
+        ctx = prime_field(5)
+        with pytest.raises(CongruenceFailed) as ei:
+            power_map_iso(build_digraph(ctx, 1, 2), build_digraph(ctx, *d2), 1)
+        assert ei.value.name == name
+
+    def test_across_fields(self):
+        with pytest.raises(SizeMismatch):
+            power_map_iso(build_digraph(prime_field(5), 1, 2),
+                          build_digraph(prime_field(7), 1, 2), 1)
+
     def test_find_power_map(self):
         ctx = prime_field(11)
         found = find_power_map(build_digraph(ctx, 1, 3), build_digraph(ctx, 7, 1))

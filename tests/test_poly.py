@@ -31,6 +31,7 @@ from mdlab.poly import (
     poly_gcd,
     poly_mod,
     poly_powmod,
+    scale,
     sub,
     trinomial,
 )
@@ -86,6 +87,14 @@ class TestTrinomial:
         assert len(trinomial(ctx, cap, 1, 1)) == cap + 1
         with pytest.raises(CapExceeded):
             trinomial(ctx, cap + 1, 1, 1)
+
+
+class TestZeroResults:
+    @pytest.mark.parametrize("p,k", [(7, 1), (2, 2)])
+    def test_scale_by_zero_and_monic_of_zero(self, p, k):
+        ctx = extension_field(p, k)
+        assert scale(ctx, make_poly(ctx, [1, 2, 3]), 0) == ()
+        assert monic(ctx, ()) == ()
 
 
 class TestGcd:
@@ -144,6 +153,18 @@ class TestPowmod:
         with pytest.raises(ZeroModulus):
             poly_powmod(prime_field(5), X, 3, ())
 
+    def test_mod_by_zero(self):
+        with pytest.raises(ZeroModulus):
+            poly_mod(prime_field(5), X, ())
+
+    @pytest.mark.parametrize("e,modulus,message", [
+        (3, (2,), "degree >= 1"),
+        (-1, (1, 0, 1), "negative exponent"),
+    ])
+    def test_refuses_constant_modulus_and_negative_exponent(self, e, modulus, message):
+        with pytest.raises(ValueError, match=message):
+            poly_powmod(prime_field(5), X, e, modulus)
+
 
 class TestRootCount:
     def test_gf11_quartic(self):
@@ -171,6 +192,11 @@ class TestRootCount:
         ctx = prime_field(5)
         for method in ("bruteforce", "gcd", "both"):
             assert distinct_root_count(ctx, (3,), method=method).distinct == 0
+
+    def test_unknown_method(self):
+        ctx = prime_field(5)
+        with pytest.raises(ValueError, match="unknown method 'fast'"):
+            distinct_root_count(ctx, trinomial(ctx, 3, 1, 1), method="fast")
 
     def test_gcd_method_returns_no_roots_list(self):
         ctx = prime_field(11)
@@ -214,6 +240,10 @@ class TestNontrivialRootCount:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_n_one_is_zero(self, p):
         assert nontrivial_root_count(prime_field(p), 1) == 0
+
+    def test_n_zero_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            nontrivial_root_count(prime_field(5), 0)
 
     @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (2, 2), (3, 2), (11, 1)])
     def test_one_is_always_a_root(self, p, k):
